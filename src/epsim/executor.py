@@ -254,8 +254,25 @@ class BackendResult:
     bytes_written: int = 0
 
 
-class LocalProcessBackend:
-    """Runs each stub job as a separate local Python process."""
+def stub_spec(job: ScheduledJob, workdir: Path, desk_scale: float, compute_ceiling_s: float) -> dict:
+    """The stub's JSON spec for one job: compute phases desk-scaled and capped."""
+    phases = []
+    for p in job.phases:
+        entry = {"kind": p.kind.value, "bytes": p.bytes, "ranks": p.ranks}
+        if p.kind is PhaseKind.COMPUTE:
+            entry["duration_s"] = min(p.duration_s / desk_scale, compute_ceiling_s)
+        phases.append(entry)
+    return {
+        "job_id": job.job_id,
+        "name": job.name,
+        "workdir": str(workdir),
+        "phases": phases,
+        "metadata": job.metadata,
+    }
+
+
+class _StubBackend:
+    """Desk-scale settings shared by the two backends."""
 
     def __init__(self, desk_scale: float = 100.0, compute_ceiling_s: float = 30.0):
         if desk_scale <= 0:
@@ -263,29 +280,35 @@ class LocalProcessBackend:
         self.desk_scale = desk_scale
         self.compute_ceiling_s = compute_ceiling_s
 
-    def _spec(self, job: ScheduledJob, workdir: Path) -> dict:
-        phases = []
-        for p in job.phases:
-            entry = {"kind": p.kind.value, "bytes": p.bytes, "ranks": p.ranks}
-            if p.kind is PhaseKind.COMPUTE:
-                entry["duration_s"] = min(p.duration_s / self.desk_scale, self.compute_ceiling_s)
-            phases.append(entry)
-        return {
-            "job_id": job.job_id,
-            "name": job.name,
-            "workdir": str(workdir),
-            "phases": phases,
-            "metadata": job.metadata,
-        }
+
+class LocalProcessBackend(_StubBackend):
+    """Runs each stub job as a separate local Python process.
+
+    The stub file is run as a plain script under ``-I -S``: the child needs
+    only the stdlib, so it skips ``site``, the ``PYTHON*`` variables and the
+    epsim package import, which would otherwise dominate each job's cost.
+    """
+
+    # Seconds a stub may run beyond its desk-scaled compute before it is
+    # killed; covers interpreter start-up and the I/O phases.
+    TIMEOUT_MARGIN_S = 60.0
+    TIMEOUT_EXIT = 124  # exit status recorded for a killed job, as timeout(1) reports it
 
     def run(self, job: ScheduledJob, workdir: Path) -> BackendResult:
+        spec = stub_spec(job, workdir, self.desk_scale, self.compute_ceiling_s)
         specfile = workdir / f"j{job.job_id:05d}.spec.json"
-        specfile.write_text(json.dumps(self._spec(job, workdir)), encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-m", "epsim.stub", str(specfile)],
-            capture_output=True,
-            text=True,
-        )
+        specfile.write_text(json.dumps(spec), encoding="utf-8")
+        timeout = self.TIMEOUT_MARGIN_S + sum(p.get("duration_s", 0.0) for p in spec["phases"])
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-I", "-S", stub.__file__, str(specfile)],
+                capture_output=True,
+                text=True,
+                timeout=timeout,
+            )
+        except subprocess.TimeoutExpired:  # run() has killed and reaped the child
+            log.warning("stub job %d (%s) killed after %.1f s", job.job_id, job.name, timeout)
+            return BackendResult(exit_code=self.TIMEOUT_EXIT)
         if proc.returncode != 0:
             log.warning("stub job %d (%s) failed: %s", job.job_id, job.name, proc.stderr.strip())
             return BackendResult(exit_code=proc.returncode)
@@ -293,18 +316,15 @@ class LocalProcessBackend:
         return BackendResult(0, int(result["bytes_read"]), int(result["bytes_written"]))
 
 
-class InlineBackend:
+class InlineBackend(_StubBackend):
     """Runs stub phases in-process; same semantics, no process spawn.
 
     Useful for fast property tests and dry runs; the dispatch logic above it
     is identical to the process-backed path.
     """
 
-    def __init__(self, desk_scale: float = 100.0, compute_ceiling_s: float = 30.0):
-        self._delegate = LocalProcessBackend(desk_scale, compute_ceiling_s)
-
     def run(self, job: ScheduledJob, workdir: Path) -> BackendResult:
-        spec = self._delegate._spec(job, workdir)
+        spec = stub_spec(job, workdir, self.desk_scale, self.compute_ceiling_s)
         try:
             bytes_read, bytes_written = stub.run_phases(spec)
         except stub.StubFailure as exc:

@@ -227,27 +227,27 @@ def find_job_cycle(names: list[str], edges: tuple[DependencyEdge, ...]) -> list[
             succs[e.from_job].append(e.to_job)
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {n: WHITE for n in names}
-    stack: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = GRAY
-        stack.append(node)
-        for nxt in succs[node]:
-            if color[nxt] == GRAY:
-                return stack[stack.index(nxt):] + [nxt]
-            if color[nxt] == WHITE:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for n in names:
-        if color[n] == WHITE:
-            found = visit(n)
-            if found:
-                return found
+    for root in names:
+        if color[root] != WHITE:
+            continue
+        # iterative DFS: path[k] is on the current chain and its successors
+        # are consumed from its iterator, so the first cycle is reported in
+        # the order a recursive walk would find it
+        color[root] = GRAY
+        path = [root]
+        pending = [iter(succs[root])]
+        while pending:
+            for nxt in pending[-1]:
+                if color[nxt] == GRAY:
+                    return path[path.index(nxt):] + [nxt]
+                if color[nxt] == WHITE:
+                    color[nxt] = GRAY
+                    path.append(nxt)
+                    pending.append(iter(succs[nxt]))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return None
 
 

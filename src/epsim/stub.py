@@ -1,17 +1,23 @@
 """Synthetic stub job: executes the phases of one scheduled job.
 
-Run as ``python -m epsim.stub <specfile.json>``. The spec file carries the
-job's phases with compute durations already desk-scaled by the backend.
-Prints a one-line JSON result ({"bytes_read": .., "bytes_written": ..}) on
-stdout and exits non-zero on failure.
+The process backend launches this file as a stand-alone script,
+``python -I -S <path>/stub.py <specfile.json>``, so a job's start-up costs
+one bare interpreter and never imports the epsim package. That is why this
+module imports nothing but ``json``, ``os``, ``sys`` and ``time``.
+``python -m epsim.stub <specfile.json>`` runs the same code by hand.
+
+The spec file carries the job's phases with compute durations already
+desk-scaled by the backend. Prints a one-line JSON result
+({"bytes_read": .., "bytes_written": ..}) on stdout and exits non-zero on
+failure.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
-from pathlib import Path
 
 CHUNK = 1 << 20
 
@@ -27,7 +33,7 @@ def _busy_spin(seconds: float) -> None:
         x = x * 1.0000001 + 1e-9  # keep the core busy, not asleep
 
 
-def _write_file(path: Path, nbytes: int) -> int:
+def _write_file(path: str, nbytes: int) -> int:
     written = 0
     with open(path, "wb") as fh:
         while written < nbytes:
@@ -38,7 +44,7 @@ def _write_file(path: Path, nbytes: int) -> int:
     return written
 
 
-def _read_file(path: Path, nbytes: int) -> int:
+def _read_file(path: str, nbytes: int) -> int:
     total = 0
     with open(path, "rb") as fh:
         while True:
@@ -55,7 +61,7 @@ def run_phases(spec: dict) -> tuple[int, int]:
     """Execute the phases in order; returns (bytes_read, bytes_written)."""
     if spec.get("metadata", {}).get("fail"):
         raise StubFailure(f"job {spec.get('name')} forced to fail")
-    workdir = Path(spec["workdir"])
+    workdir = spec["workdir"]
     job_id = int(spec["job_id"])
     bytes_read = 0
     bytes_written = 0
@@ -64,10 +70,11 @@ def run_phases(spec: dict) -> tuple[int, int]:
         if kind == "compute":
             _busy_spin(float(phase.get("duration_s", 0.0)))
         elif kind == "io_write":
-            bytes_written += _write_file(workdir / f"j{job_id:05d}.out", int(phase.get("bytes", 0)))
+            out = os.path.join(workdir, f"j{job_id:05d}.out")
+            bytes_written += _write_file(out, int(phase.get("bytes", 0)))
         elif kind == "io_read":
             n = int(phase.get("bytes", 0))
-            src = workdir / f"j{job_id:05d}.in"
+            src = os.path.join(workdir, f"j{job_id:05d}.in")
             _write_file(src, n)  # source data is synthesized, only the read is the workload
             bytes_read += _read_file(src, n)
         elif kind == "mpi_exchange":
@@ -86,7 +93,8 @@ def main(argv: list[str] | None = None) -> int:
     if len(argv) != 1:
         print("usage: python -m epsim.stub <specfile.json>", file=sys.stderr)
         return 2
-    spec = json.loads(Path(argv[0]).read_text(encoding="utf-8"))
+    with open(argv[0], encoding="utf-8") as fh:
+        spec = json.load(fh)
     try:
         bytes_read, bytes_written = run_phases(spec)
     except StubFailure as exc:

@@ -1,6 +1,13 @@
+import ast
+import os
 import random
+import signal
+import subprocess
+from pathlib import Path
 
 import pytest
+
+from epsim import stub
 
 from epsim.datafiles import edges_path, load_bundled_model
 from epsim.errors import CycleDetected, InvalidScale, JobFailed, MissingProfile, SchemaError
@@ -16,6 +23,7 @@ from epsim.executor import (
     schedule_from_dict,
     schedule_to_dict,
     scale_schedule,
+    stub_spec,
     topo_order,
 )
 from epsim.model import DependencyEdge, EnsembleConfig, load_edges
@@ -196,6 +204,88 @@ class TestExecute:
         doc = doc_of([sjob(0, metadata={"fail": True}), sjob(1, [0]), sjob(2)])
         log = execute(doc, backend=FAST, workdir=tmp_path)
         assert sorted(e.job_id for e in log.entries) == [0, 1, 2]
+
+
+class TestStubProcess:
+    """The process backend launches stub.py as a stdlib-only script."""
+
+    def test_stub_imports_only_the_stdlib_allowlist(self):
+        tree = ast.parse(Path(stub.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "stub.py must not use relative imports"
+                imported.add(node.module.split(".")[0])
+        assert imported <= {"__future__", "json", "os", "sys", "time"}
+
+    def test_child_never_imports_the_package(self, tmp_path, monkeypatch):
+        # an importable but broken epsim on PYTHONPATH and in the cwd
+        poison = tmp_path / "poison"
+        (poison / "epsim").mkdir(parents=True)
+        (poison / "epsim" / "__init__.py").write_text("raise ImportError('epsim imported')\n")
+        monkeypatch.setenv("PYTHONPATH", str(poison))
+        monkeypatch.chdir(poison)
+        job = ScheduledJob(
+            0,
+            "io",
+            (),
+            (
+                Phase(PhaseKind.IO_READ, bytes=3000),
+                Phase(PhaseKind.COMPUTE, duration_s=1.0),
+                Phase(PhaseKind.IO_WRITE, bytes=5000),
+            ),
+        )
+        work = tmp_path / "work"
+        log = execute(doc_of([job]), backend=LocalProcessBackend(), workdir=work, keep_scratch=True)
+        entry = log.by_id()[0]
+        assert (entry.status, entry.bytes_read, entry.bytes_written) == ("ok", 3000, 5000)
+        assert (work / "j00000.out").stat().st_size == 5000
+
+    def test_hung_stub_is_killed_and_dependents_skipped(self, tmp_path, monkeypatch):
+        # the job spins 2 s against a 0.5 s timeout
+        monkeypatch.setattr(LocalProcessBackend, "TIMEOUT_MARGIN_S", -1.5)
+        spawned = []
+
+        class RecordingPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spawned.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+        doc = doc_of([sjob(0, compute=2.0), sjob(1, [0])])
+        log = execute(doc, backend=LocalProcessBackend(desk_scale=1.0), workdir=tmp_path)
+        entries = log.by_id()
+        assert entries[0].status == "failed"
+        assert entries[0].exit_status == LocalProcessBackend.TIMEOUT_EXIT
+        assert entries[0].end_wallclock - entries[0].start_wallclock < 1.9
+        assert entries[1].status == "skipped"
+        [proc] = spawned
+        assert proc.returncode == -signal.SIGKILL  # killed and reaped
+        with pytest.raises(ProcessLookupError):
+            os.kill(proc.pid, 0)
+
+
+def test_stub_spec_desk_scales_and_caps_compute(tmp_path):
+    job = ScheduledJob(
+        3,
+        "x",
+        (),
+        (Phase(PhaseKind.COMPUTE, duration_s=50.0), Phase(PhaseKind.COMPUTE, duration_s=500.0)),
+        {"member": 1},
+    )
+    spec = stub_spec(job, tmp_path, 10.0, 30.0)
+    assert spec == {
+        "job_id": 3,
+        "name": "x",
+        "workdir": str(tmp_path),
+        "phases": [
+            {"kind": "compute", "bytes": 0, "ranks": 1, "duration_s": 5.0},
+            {"kind": "compute", "bytes": 0, "ranks": 1, "duration_s": 30.0},
+        ],
+        "metadata": {"member": 1},
+    }
 
 
 def random_dag(rng, max_nodes=50):

@@ -85,6 +85,16 @@ class TestValidation:
         msg = next(i.message for i in report.errors if i.code == "CycleDetected")
         assert "A" in msg and "B" in msg
 
+    def test_long_chain_validates_without_recursion(self):
+        names = [f"J{i:04d}" for i in range(1500)]
+        chain = [DependencyEdge(a, b) for a, b in zip(names, names[1:])]
+        assert validate_suite(make_model([make_job(n) for n in names], chain)).ok
+        report = validate_suite(
+            make_model([make_job(n) for n in names], chain + [DependencyEdge(names[-1], names[1000])])
+        )
+        msg = next(i.message for i in report.errors if i.code == "CycleDetected")
+        assert msg == "dependency cycle: " + " -> ".join(names[1000:] + [names[1000]])
+
     def test_unknown_job_in_edge(self):
         report = validate_suite(make_model([make_job("A")], [DependencyEdge("A", "Ghost")]))
         assert any(i.code == "UnknownJobInEdge" for i in report.errors)
