@@ -39,6 +39,7 @@ from .model import (
     cluster_from_dict,
     expand_instances,
     load_edges,
+    load_json,
     load_suite_model,
     save_suite_model,
     validate_suite,
@@ -141,8 +142,7 @@ def cmd_ingest(args) -> int:
 def cmd_model(args) -> int:
     cluster = None
     if args.cluster:
-        with open(args.cluster, encoding="utf-8") as fh:
-            cluster = cluster_from_dict(json.load(fh))
+        cluster = cluster_from_dict(load_json(args.cluster))
     ensemble = None
     if args.n_control is not None or args.n_total is not None:
         ensemble = EnsembleConfig(

@@ -17,17 +17,6 @@ class UnknownJob(SuiteError):
         super().__init__(f"unknown job: {name!r}")
 
 
-class UnknownJobInEdge(SuiteError):
-    def __init__(self, name, edge):
-        self.name = name
-        self.edge = edge
-        super().__init__(f"edge {edge} references unknown job {name!r}")
-
-
-class RoleEnergyMismatch(SuiteError):
-    pass
-
-
 class ModelInvalid(SuiteError):
     """Raised by ensure_valid() when a validation report contains errors."""
 

@@ -42,6 +42,7 @@ from .model import (
     SuiteModel,
     expand_instances,
     find_job_cycle,
+    load_json,
 )
 from .profiles import Phase, PhaseKind, UnifiedJobProfile, phase_from_dict, phase_to_dict
 from .whatif import Scenario
@@ -513,9 +514,4 @@ def save_schedule(doc: ScheduleDocument, path: str | Path) -> None:
 
 
 def load_schedule(path: str | Path) -> ScheduleDocument:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    return schedule_from_dict(raw)
+    return schedule_from_dict(load_json(path))

@@ -409,7 +409,7 @@ def expand_instances(model: SuiteModel) -> InstanceGraph:
     instances: list[Instance] = []
     # (job, member) -> list of instance ids, wave-major
     by_job_member: dict[tuple[str, int], list[str]] = {}
-    wave_of: dict[str, int] = {}
+    edges: set[tuple[str, str]] = set()
 
     for job in model.jobs:
         rep = job.repetition
@@ -418,9 +418,10 @@ def expand_instances(model: SuiteModel) -> InstanceGraph:
             path = MemberPath.CONTROL if is_control else MemberPath.PERTURBED
             duration = job.wallclock_for(path) / rep.waves
             ids: list[str] = []
-            slot = 0
+            prev = 0  # where the previous wave starts in ids
             for wave, width in enumerate(rep.wave_widths):
-                for _ in range(width):
+                start = len(ids)
+                for slot in range(start, start + width):
                     iid = _instance_id(job.name, member, slot)
                     instances.append(
                         Instance(
@@ -436,18 +437,11 @@ def expand_instances(model: SuiteModel) -> InstanceGraph:
                             is_control=is_control,
                         )
                     )
-                    wave_of[iid] = wave
                     ids.append(iid)
-                    slot += 1
+                # every instance of this wave runs after all of the previous one
+                edges.update((a, b) for a in ids[prev:start] for b in ids[start:])
+                prev = start
             by_job_member[(job.name, member)] = ids
-
-    edges: set[tuple[str, str]] = set()
-    # chain waves per (job, member): every instance of wave k+1 after all of wave k
-    for ids in by_job_member.values():
-        for a in ids:
-            for b in ids:
-                if wave_of[b] == wave_of[a] + 1:
-                    edges.add((a, b))
 
     jobs_by_name = {j.name: j for j in model.jobs}
     for edge in model.edges:
@@ -568,6 +562,8 @@ def edge_to_dict(edge: DependencyEdge) -> dict:
 
 
 def cluster_from_dict(raw: dict) -> ClusterSpec:
+    if not isinstance(raw, dict):
+        raise SchemaError("cluster must be a JSON object")
     queues = {}
     for qid, q in raw.get("queues", {}).items():
         mc = q.get("max_concurrent_jobs")
@@ -627,13 +623,17 @@ def suite_model_to_dict(model: SuiteModel) -> dict:
     }
 
 
-def load_suite_model(path: str | Path) -> SuiteModel:
+def load_json(path: str | Path):
+    """Parse a JSON file; malformed JSON raises SchemaError naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    return suite_model_from_dict(raw)
+
+
+def load_suite_model(path: str | Path) -> SuiteModel:
+    return suite_model_from_dict(load_json(path))
 
 
 def save_suite_model(model: SuiteModel, path: str | Path) -> None:
@@ -646,11 +646,7 @@ def dumps_model(model: SuiteModel) -> str:
 
 def load_edges(path: str | Path) -> tuple[DependencyEdge, ...]:
     """Edge list file: {"edges": [...]} or a bare JSON list."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    raw = load_json(path)
     if isinstance(raw, dict):
         raw = raw.get("edges", [])
     if not isinstance(raw, list):

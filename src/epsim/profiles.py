@@ -44,6 +44,7 @@ from .model import (
     QueueSpec,
     RepetitionSpec,
     SuiteModel,
+    load_json,
 )
 
 log = logging.getLogger(__name__)
@@ -310,12 +311,7 @@ def save_profile(profile: UnifiedJobProfile, path: str | Path) -> None:
 
 
 def load_profile(path: str | Path) -> UnifiedJobProfile:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    return profile_from_dict(raw)
+    return profile_from_dict(load_json(path))
 
 
 # ---------------------------------------------------------------------------

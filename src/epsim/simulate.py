@@ -85,72 +85,57 @@ class _NodePool:
     """Node states for placement; ids are allocated lowest-first.
 
     A node is either free, reserved whole by exclusive instances, or hosting
-    shared instances up to cores_per_node cores. Unlimited clusters draw from
-    an unbounded id space.
+    shared instances up to cores_per_node cores (`shared_cores`). Every free
+    id below `high_water` is in the min-heap `free`; every id at or above it
+    has never been used. Unlimited clusters draw from an unbounded id space.
     """
 
     def __init__(self, cluster: ClusterSpec):
         self.cluster = cluster
         self.limit = cluster.node_count  # None = unlimited
-        self.exclusive_nodes: set[int] = set()
+        self.free: list[int] = []
         self.shared_cores: dict[int, int] = {}
         self.high_water = 0
 
-    def _free_ids(self, need: int) -> list[int]:
-        out: list[int] = []
-        i = 0
-        while len(out) < need and (self.limit is None or i < self.limit):
-            if i not in self.exclusive_nodes and i not in self.shared_cores:
-                out.append(i)
-            i += 1
-        return out
-
-    def can_place(self, cores: int, queue: QueueSpec) -> bool:
-        if queue.exclusive_nodes:
-            need = node_demand(cores, queue, self.cluster)
-            return len(self._free_ids(need)) >= need
-        if any(u + cores <= self.cluster.cores_per_node for u in self.shared_cores.values()):
-            return True
-        return len(self._free_ids(1)) >= 1
-
-    def place(self, cores: int, queue: QueueSpec) -> tuple[int, ...]:
-        if queue.exclusive_nodes:
-            need = node_demand(cores, queue, self.cluster)
-            ids = tuple(self._free_ids(need))
-            self.exclusive_nodes.update(ids)
-            self._bump(ids)
-            return ids
-        for nid in sorted(self.shared_cores):
-            if self.shared_cores[nid] + cores <= self.cluster.cores_per_node:
+    def place(self, cores: int, queue: QueueSpec) -> tuple[int, ...] | None:
+        """Take the nodes for one instance, or return None if it does not fit now."""
+        if not queue.exclusive_nodes:
+            fits = [n for n, used in self.shared_cores.items() if used + cores <= self.cluster.cores_per_node]
+            if fits:
+                nid = min(fits)
                 self.shared_cores[nid] += cores
                 return (nid,)
-        nid = self._free_ids(1)[0]
-        self.shared_cores[nid] = cores
-        self._bump((nid,))
-        return (nid,)
+        need = node_demand(cores, queue, self.cluster) if queue.exclusive_nodes else 1
+        if self.limit is not None and len(self.free) + self.limit - self.high_water < need:
+            return None
+        ids = [heapq.heappop(self.free) for _ in range(min(need, len(self.free)))]
+        fresh = need - len(ids)
+        ids.extend(range(self.high_water, self.high_water + fresh))
+        self.high_water += fresh
+        if not queue.exclusive_nodes:
+            self.shared_cores[ids[0]] = cores
+        return tuple(ids)
 
     def release(self, ids: tuple[int, ...], cores: int, queue: QueueSpec) -> None:
-        if queue.exclusive_nodes:
-            self.exclusive_nodes.difference_update(ids)
-        else:
+        if not queue.exclusive_nodes:
             (nid,) = ids
             self.shared_cores[nid] -= cores
-            if self.shared_cores[nid] <= 0:
-                del self.shared_cores[nid]
+            if self.shared_cores[nid] > 0:
+                return
+            del self.shared_cores[nid]
+        for nid in ids:
+            heapq.heappush(self.free, nid)
 
-    def _bump(self, ids: tuple[int, ...]) -> None:
-        for i in ids:
-            self.high_water = max(self.high_water, i + 1)
 
-
-def simulate(graph: InstanceGraph, cluster: ClusterSpec, policy=None) -> SimulationResult:
+def simulate(graph: InstanceGraph, cluster: ClusterSpec) -> SimulationResult:
     """Event-driven list scheduling of the instance graph on the cluster.
 
-    `policy` maps (ready_time, instance_id) to a sort key; the default is the
-    pair itself. Raises InfeasibleInstance when an instance cannot fit on the
-    cluster even when idle.
+    Raises CycleDetected when the graph has a dependency cycle, and
+    InfeasibleInstance when an instance needs more nodes or cores than the
+    idle cluster has; both are raised before any event is produced.
+    InfeasibleInstance is also raised when an instance never starts because
+    its queue admits no job (max_concurrent_jobs 0).
     """
-    policy = policy or (lambda ready, iid: (ready, iid))
     queues = dict(cluster.queues)
     for inst in graph.instances.values():
         q = queues.setdefault(inst.queue, DEFAULT_QUEUE)
@@ -161,10 +146,10 @@ def simulate(graph: InstanceGraph, cluster: ClusterSpec, policy=None) -> Simulat
         elif inst.cores > cluster.cores_per_node:
             raise InfeasibleInstance(inst.id, 1, 0)
 
-    graph.topological_order()  # cycle guard before any event is emitted
+    cp_len, cp_chain = critical_path(graph)  # raises CycleDetected
 
-    pending_preds = {iid: set(p) for iid, p in graph.preds.items()}
-    ready: list[tuple] = []  # heap of (policy key..., ready_time, id)
+    pending_preds = {iid: len(p) for iid, p in graph.preds.items()}
+    ready: list[tuple[float, str]] = []  # (ready_time, id), sorted at each dispatch
     events: list[SimEvent] = []
     start_times: dict[str, float] = {}
     finish_times: dict[str, float] = {}
@@ -176,27 +161,26 @@ def simulate(graph: InstanceGraph, cluster: ClusterSpec, policy=None) -> Simulat
 
     def submit(iid: str, t: float) -> None:
         events.append(SimEvent(iid, EventKind.SUBMIT, t))
-        heapq.heappush(ready, (policy(t, iid), t, iid))
+        ready.append((t, iid))
 
     for iid in graph.ids():
         if not pending_preds[iid]:
             submit(iid, 0.0)
 
     def try_dispatch(now: float) -> None:
-        # greedy pass over the ready heap in policy order; instances that do
-        # not fit right now are retried at the next event time
-        deferred: list[tuple] = []
-        while ready:
-            key, rt, iid = heapq.heappop(ready)
+        # greedy pass in (ready_time, id) order; instances that do not fit
+        # right now stay ready and are retried at the next event time
+        waiting: list[tuple[float, str]] = []
+        for item in sorted(ready):
+            iid = item[1]
             inst = graph.instances[iid]
             q = queues[inst.queue]
-            if q.max_concurrent_jobs is not None and queue_load[inst.queue] >= q.max_concurrent_jobs:
-                deferred.append((key, rt, iid))
+            ids = None
+            if q.max_concurrent_jobs is None or queue_load[inst.queue] < q.max_concurrent_jobs:
+                ids = pool.place(inst.cores, q)
+            if ids is None:
+                waiting.append(item)
                 continue
-            if not pool.can_place(inst.cores, q):
-                deferred.append((key, rt, iid))
-                continue
-            ids = pool.place(inst.cores, q)
             placements[iid] = ids
             queue_load[inst.queue] += 1
             start_times[iid] = now
@@ -204,8 +188,7 @@ def simulate(graph: InstanceGraph, cluster: ClusterSpec, policy=None) -> Simulat
             finish_times[iid] = fin
             events.append(SimEvent(iid, EventKind.START, now))
             heapq.heappush(running, (fin, iid))
-        for item in deferred:
-            heapq.heappush(ready, item)
+        ready[:] = waiting
 
     try_dispatch(0.0)
     while running:
@@ -223,19 +206,17 @@ def simulate(graph: InstanceGraph, cluster: ClusterSpec, policy=None) -> Simulat
             for nid in placements[iid]:
                 node_intervals.setdefault(nid, []).append((start_times[iid], now))
             for succ in graph.succs[iid]:
-                pending_preds[succ].discard(iid)
+                pending_preds[succ] -= 1
                 if not pending_preds[succ]:
                     submit(succ, now)
         try_dispatch(now)
 
     if len(finish_times) != len(graph):
-        # capacity was never sufficient for something; the feasibility check
-        # above should make this unreachable
+        # a queue that admits no job (max_concurrent_jobs 0) never starts anything
         stuck = sorted(set(graph.ids()) - set(finish_times))
         raise InfeasibleInstance(stuck[0], -1, -1)
 
     makespan = max(finish_times.values(), default=0.0)
-    cp_len, cp_chain = critical_path(graph)
     per_node = {nid: _union_length(iv) for nid, iv in sorted(node_intervals.items())}
     per_cat: dict[JobCategory, float] = {}
     for inst in graph.instances.values():

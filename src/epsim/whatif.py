@@ -6,14 +6,13 @@ category energy terms; speedups and energy factors are independent knobs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .energy import job_energy, suite_total
 from .errors import DegeneratePath, InvalidScenario, SchemaError
-from .model import EnsembleConfig, JobCategory, MemberPath, SuiteModel
+from .model import EnsembleConfig, JobCategory, MemberPath, SuiteModel, load_json
 
 
 @dataclass(frozen=True)
@@ -162,9 +161,4 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    return scenario_from_dict(raw)
+    return scenario_from_dict(load_json(path))

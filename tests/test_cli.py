@@ -145,6 +145,15 @@ class TestModelCommand:
         assert model.cluster.node_count == 40
         assert model.cluster.idle_power_kw == 0.25
 
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]"], ids=["malformed", "list"])
+    def test_bad_cluster_file_is_error_not_traceback(self, tmp_path, content):
+        cluster = tmp_path / "cluster.json"
+        cluster.write_text(content)
+        proc = run_cli("model", "--cluster", str(cluster), "-o", str(tmp_path / "m.json"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     def test_validation_failure_exits_1(self, tmp_path):
         bad_edges = tmp_path / "edges.json"
         bad_edges.write_text(json.dumps({"edges": [

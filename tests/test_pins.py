@@ -1,0 +1,85 @@
+"""Byte-level pins of the deterministic document writers.
+
+Each digest is the SHA-256 of an output of the bundled dataset. A digest may
+change only together with a CHANGES.md entry that says why the output moved.
+"""
+
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from epsim.cli import main
+from epsim.datafiles import edges_path, load_bundled_model, profiles_dir
+from epsim.executor import generate_schedule, save_schedule
+from epsim.model import EnsembleConfig, expand_instances, load_edges
+from epsim.profiles import IoMode, merge_profiles, parse_io_profile, parse_mpi_profile
+from epsim.simulate import events_csv, simulate, summary_json
+
+SIM_PINS = {  # (n_total, node_count) -> (events_csv, summary_json)
+    (22, None): (
+        "271d081b170adbd7111139c06d65c1000a26019af25f54080e90125d49651c65",
+        "4e6e54a40130ad575e3cd996cdbee2d4c0eb2dbff18a4c5acd9683a31d9d1de2",
+    ),
+    (22, 64): (
+        "004bba906a1d56f79216900d91c1cfc8e2248f76f05cd0294d04e85a8559aadd",
+        "ebfd50bc60d9c9b89d62fd07bcafd41e6da8ba192c0afd679513d9fd721d3cc6",
+    ),
+    (100, None): (
+        "f87d9c28c708a654b6280b5fb0fe1d4cccb4106c4f1ac49cc0226986ecb4daf0",
+        "b95f5ba4a64e205e6bc2602ccd9a3887d42f218ec8d382efa3ed9da6a55ab99c",
+    ),
+    (100, 64): (
+        "af50a6c3cc8240f3087d1da35486496ff02e8d7c51174c46fc317eb4ae2cd293",
+        "09fb58f3bf769f1b853622106c2bad4614bdea1f11393e9518a0d54970e96416",
+    ),
+}
+REPORT_JSON_PIN = "5aa61e580b6723352510b8f7bd4bc61b56c5f189fee3f3f16ba4bf9ebd835cea"
+KJS_PIN = "dec91604c115b7fdc2da0018a31958c8711b5b198b79188d62db99919e61514d"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _simulated(n_total, node_count):
+    model = load_bundled_model()
+    model = replace(
+        model.with_ensemble(EnsembleConfig(model.ensemble.n_control, n_total)),
+        cluster=replace(model.cluster, node_count=node_count),
+    )
+    result = simulate(expand_instances(model), model.cluster)
+    return _sha256(events_csv(result)), _sha256(summary_json(result, model.cluster))
+
+
+@pytest.mark.parametrize("n_total,node_count", list(SIM_PINS))
+def test_simulation_outputs(n_total, node_count):
+    assert _simulated(n_total, node_count) == SIM_PINS[(n_total, node_count)]
+
+
+def test_report_json(capsys):
+    assert main(["report", "--format", "json"]) == 0
+    assert _sha256(capsys.readouterr().out) == REPORT_JSON_PIN
+
+
+def test_bundled_schedule(tmp_path):
+    # what `epsim ingest` + `epsim schedule` write, with provenance cut to
+    # file names so the digest does not depend on where the checkout lives
+    by_job: dict[str, list] = {}
+    for src in sorted(profiles_dir().iterdir()):
+        if src.suffix == ".mpiprof":
+            rec = parse_mpi_profile(src)
+        else:
+            mode = IoMode.PARALLEL if "ranks=" in src.read_text(encoding="utf-8") else IoMode.SINGLE
+            rec = parse_io_profile(src, mode)
+        by_job.setdefault(rec.job, []).append(rec)
+    profiles = []
+    for job in sorted(by_job):
+        profile = merge_profiles(by_job[job])
+        profiles.append(replace(profile, provenance=tuple(Path(s).name for s in profile.provenance)))
+    doc = generate_schedule(profiles, list(load_edges(edges_path())), EnsembleConfig(1, 1))
+    assert len(doc.jobs) == 16
+    target = tmp_path / "suite.kjs"
+    save_schedule(doc, target)
+    assert _sha256(target.read_text(encoding="utf-8")) == KJS_PIN

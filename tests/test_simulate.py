@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracle_data as oracle
 import strategies
@@ -285,6 +286,25 @@ def test_lower_bounds_and_safety(graph, cluster):
     for iid in graph.ids():
         for p in graph.preds[iid]:
             assert result.start_times[iid] >= result.finish_times[p] - 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(strategies.instance_graphs(max_nodes=12), st.integers(min_value=1, max_value=4))
+def test_graham_list_scheduling_upper_bound(graph, m):
+    # every instance takes one whole node on a queue without a concurrency
+    # limit, so Graham's bound for greedy list scheduling on m machines holds:
+    # makespan <= work/m + (1 - 1/m) * critical_path
+    cluster = ClusterSpec(
+        node_count=m, cores_per_node=4, queues={"np": QueueSpec(True), "ns": QueueSpec(True)}
+    )
+    longest = {}
+    for iid in sorted(graph.ids()):  # the strategy only adds edges from lower to higher ids
+        longest[iid] = graph.instances[iid].duration_s + max(
+            (longest[p] for p in graph.preds[iid]), default=0.0
+        )
+    work = sum(i.duration_s for i in graph.instances.values())
+    bound = work / m + (1 - 1 / m) * max(longest.values())
+    assert simulate(graph, cluster).makespan_s <= bound * (1 + 1e-9)
 
 
 @settings(max_examples=100, deadline=None)
