@@ -8,7 +8,7 @@ class SuiteError(Exception):
 class CycleDetected(SuiteError):
     def __init__(self, cycle):
         self.cycle = list(cycle)
-        super().__init__("dependency cycle: " + " -> ".join(self.cycle))
+        super().__init__("dependency cycle: " + " -> ".join(map(str, self.cycle)))
 
 
 class UnknownJob(SuiteError):
@@ -89,12 +89,6 @@ class MissingProfile(SuiteError):
 
 class InvalidScale(SuiteError):
     pass
-
-
-class JobFailed(SuiteError):
-    def __init__(self, failed_ids):
-        self.failed_ids = list(failed_ids)
-        super().__init__(f"synthetic jobs failed: {self.failed_ids}")
 
 
 class WorkdirUnwritable(SuiteError):

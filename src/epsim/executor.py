@@ -25,7 +25,6 @@ from . import stub
 from .errors import (
     CycleDetected,
     InvalidScale,
-    JobFailed,
     MissingProfile,
     SchemaError,
     WorkdirUnwritable,
@@ -43,6 +42,7 @@ from .model import (
     expand_instances,
     find_job_cycle,
     load_json,
+    topological_order,
 )
 from .profiles import Phase, PhaseKind, UnifiedJobProfile, phase_from_dict, phase_to_dict
 from .whatif import Scenario
@@ -67,9 +67,6 @@ class ScheduleDocument:
     created_from: tuple[str, ...] = ()
     io_scale: float = 1.0
     compute_scale: float = 1.0
-
-    def job(self, job_id: int) -> ScheduledJob:
-        return self.jobs[job_id]
 
 
 def _scaled_phase(phase: Phase, io_scale: float, compute_scale: float) -> Phase:
@@ -154,33 +151,23 @@ def generate_schedule(
     )
 
 
-def topo_order(doc: ScheduleDocument) -> list[int]:
-    """Deterministic topological order (Kahn, smallest id first)."""
+def _dependents(doc: ScheduleDocument) -> dict[int, list[int]]:
+    """Job id -> ids of the jobs that depend on it; checks ids are dense and known."""
     n = len(doc.jobs)
-    ids = [j.job_id for j in doc.jobs]
-    if sorted(ids) != list(range(n)):
+    if sorted(j.job_id for j in doc.jobs) != list(range(n)):
         raise SchemaError(f"job ids must be dense 0..{n - 1}")
-    succs: dict[int, list[int]] = {i: [] for i in ids}
-    indeg = {i: 0 for i in ids}
+    succs: dict[int, list[int]] = {i: [] for i in range(n)}
     for j in doc.jobs:
         for dep in j.depends_on:
-            if dep not in indeg:
+            if dep not in succs:
                 raise SchemaError(f"job {j.job_id} depends on unknown id {dep}")
             succs[dep].append(j.job_id)
-            indeg[j.job_id] += 1
-    heap = [i for i in ids if indeg[i] == 0]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        i = heapq.heappop(heap)
-        order.append(i)
-        for s in succs[i]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                heapq.heappush(heap, s)
-    if len(order) != n:
-        raise CycleDetected([str(i) for i in ids if indeg[i] > 0][:8])
-    return order
+    return succs
+
+
+def topo_order(doc: ScheduleDocument) -> list[int]:
+    """Deterministic topological order (Kahn, smallest id first)."""
+    return topological_order({j.job_id: j.depends_on for j in doc.jobs}, _dependents(doc))
 
 
 def scale_schedule(doc: ScheduleDocument, io_factor: float, compute_factor: float) -> ScheduleDocument:
@@ -358,7 +345,6 @@ def execute(
     parallelism: int = 1,
     workdir: str | Path | None = None,
     keep_scratch: bool = False,
-    raise_on_failure: bool = False,
 ) -> RunLog:
     """Run the schedule's stub jobs, honoring dependencies.
 
@@ -367,23 +353,17 @@ def execute(
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    topo_order(doc)  # id and acyclicity guard
+    succs = _dependents(doc)
+    jobs = {j.job_id: j for j in doc.jobs}
+    topological_order({i: j.depends_on for i, j in jobs.items()}, succs)  # acyclicity guard
     path, created_tmp = _prepare_workdir(workdir)
     backend = backend or LocalProcessBackend()
 
-    jobs = {j.job_id: j for j in doc.jobs}
-    succs: dict[int, list[int]] = {i: [] for i in jobs}
-    pending = {}
-    for j in doc.jobs:
-        pending[j.job_id] = set(j.depends_on)
-        for dep in j.depends_on:
-            succs[dep].append(j.job_id)
-
     logrec = RunLog(workdir=str(path), parallelism=parallelism)
-    ready = [i for i, deps in pending.items() if not deps]
+    ready = [i for i, j in jobs.items() if not j.depends_on]
     heapq.heapify(ready)
-    for i in ready:
-        del pending[i]
+    # neither ready nor skipped yet: job id -> dependencies not yet finished ok
+    pending = {i: len(j.depends_on) for i, j in jobs.items() if j.depends_on}
     starts: dict[int, float] = {}
     running: dict = {}
 
@@ -405,8 +385,6 @@ def execute(
                 jid = heapq.heappop(ready)
                 starts[jid] = time.perf_counter()
                 running[pool.submit(backend.run, jobs[jid], path)] = jid
-            if not running:
-                break
             done, _ = wait(list(running), return_when=FIRST_COMPLETED)
             for fut in sorted(done, key=lambda f: running[f]):
                 jid = running.pop(fut)
@@ -432,20 +410,15 @@ def execute(
                 if status == "ok":
                     for s in succs[jid]:
                         if s in pending:
-                            pending[s].discard(jid)
+                            pending[s] -= 1
                             if not pending[s]:
                                 del pending[s]
                                 heapq.heappush(ready, s)
                 else:
                     mark_skipped(jid)
 
-    for jid in sorted(pending):  # unreachable unless the graph logic breaks
-        logrec.entries.append(RunLogEntry(jid, jobs[jid].name, "skipped", None, None, None))
-
     if logrec.ok and not keep_scratch:
         _cleanup_scratch(path, doc, created_tmp)
-    if raise_on_failure and not logrec.ok:
-        raise JobFailed([e.job_id for e in logrec.entries if e.status != "ok"])
     return logrec
 
 

@@ -2,17 +2,23 @@
 
 Types for jobs, categories, member roles, dependencies and the cluster, plus
 validation of a suite model and its expansion into a concrete per-member
-instance graph.
+instance graph. The one topological order and cycle finder that job edges,
+instance graphs and schedule documents share live here too.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
+from collections.abc import Iterable, Mapping, Sized
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
+from typing import TypeVar
 
 from .errors import CycleDetected, ModelInvalid, SchemaError, UnknownJob
+
+K = TypeVar("K")  # a graph's node key, such as an instance id or a job id
 
 
 class JobCategory(str, Enum):
@@ -219,15 +225,15 @@ class ValidationReport:
         self.warnings.append(ValidationIssue(code, message))
 
 
-def find_job_cycle(names: list[str], edges: tuple[DependencyEdge, ...]) -> list[str] | None:
-    """First job-name cycle in the edge set, or None; ignores unknown endpoints."""
-    succs: dict[str, list[str]] = {n: [] for n in names}
-    for e in edges:
-        if e.from_job in succs and e.to_job in succs:
-            succs[e.from_job].append(e.to_job)
+def find_cycle(succs: Mapping[K, Iterable[K]]) -> list[K] | None:
+    """First cycle a depth-first walk finds, closed (first == last), or None.
+
+    Roots and successors are visited in the order `succs` gives them; every
+    successor must itself be a key of `succs`.
+    """
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in names}
-    for root in names:
+    color = dict.fromkeys(succs, WHITE)
+    for root in succs:
         if color[root] != WHITE:
             continue
         # iterative DFS: path[k] is on the current chain and its successors
@@ -249,6 +255,37 @@ def find_job_cycle(names: list[str], edges: tuple[DependencyEdge, ...]) -> list[
                 color[path.pop()] = BLACK
                 pending.pop()
     return None
+
+
+def topological_order(preds: Mapping[K, Sized], succs: Mapping[K, Iterable[K]]) -> list[K]:
+    """Kahn order, smallest key first; raises CycleDetected naming a closed cycle.
+
+    `preds` and `succs` describe the same edges (an edge listed twice counts
+    twice in both); in-degrees are `len(preds[k])`.
+    """
+    indeg = {k: len(p) for k, p in preds.items()}
+    heap = [k for k, d in indeg.items() if d == 0]
+    heapq.heapify(heap)
+    order: list[K] = []
+    while heap:
+        node = heapq.heappop(heap)
+        order.append(node)
+        for nxt in succs[node]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                heapq.heappush(heap, nxt)
+    if len(order) != len(indeg):
+        raise CycleDetected(find_cycle(succs))
+    return order
+
+
+def find_job_cycle(names: list[str], edges: tuple[DependencyEdge, ...]) -> list[str] | None:
+    """First job-name cycle in the edge set, or None; ignores unknown endpoints."""
+    succs: dict[str, list[str]] = {n: [] for n in names}
+    for e in edges:
+        if e.from_job in succs and e.to_job in succs:
+            succs[e.from_job].append(e.to_job)
+    return find_cycle(succs)
 
 
 def validate_suite(model: SuiteModel) -> ValidationReport:
@@ -273,6 +310,12 @@ def validate_suite(model: SuiteModel) -> ValidationReport:
         report.error("InvalidCluster", f"cores_per_node must be >= 1, got {cl.cores_per_node}")
     if cl.idle_power_kw < 0:
         report.error("InvalidCluster", f"idle_power_kw must be >= 0, got {cl.idle_power_kw}")
+    for qid, q in cl.queues.items():
+        if q.max_concurrent_jobs is not None and q.max_concurrent_jobs < 1:
+            report.error(
+                "InvalidCluster",
+                f"queue {qid!r}: max_concurrent_jobs must be >= 1 or null, got {q.max_concurrent_jobs}",
+            )
 
     for job in model.jobs:
         t = job.energy
@@ -371,26 +414,6 @@ class InstanceGraph:
 
     def ids(self) -> list[str]:
         return list(self.instances)
-
-    def topological_order(self) -> list[str]:
-        """Kahn order, smallest id first; raises CycleDetected."""
-        import heapq
-
-        indeg = {i: len(p) for i, p in self.preds.items()}
-        heap = [i for i, d in indeg.items() if d == 0]
-        heapq.heapify(heap)
-        order: list[str] = []
-        while heap:
-            node = heapq.heappop(heap)
-            order.append(node)
-            for nxt in self.succs[node]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    heapq.heappush(heap, nxt)
-        if len(order) != len(self.instances):
-            remaining = [i for i, d in indeg.items() if d > 0]
-            raise CycleDetected(remaining[:8])
-        return order
 
 
 def _instance_id(job: str, member: int, slot: int) -> str:
@@ -564,8 +587,13 @@ def edge_to_dict(edge: DependencyEdge) -> dict:
 def cluster_from_dict(raw: dict) -> ClusterSpec:
     if not isinstance(raw, dict):
         raise SchemaError("cluster must be a JSON object")
+    raw_queues = raw.get("queues", {})
+    if not isinstance(raw_queues, dict):
+        raise SchemaError("cluster.queues must be a JSON object")
     queues = {}
-    for qid, q in raw.get("queues", {}).items():
+    for qid, q in raw_queues.items():
+        if not isinstance(q, dict):
+            raise SchemaError(f"cluster.queues[{qid!r}] must be a JSON object")
         mc = q.get("max_concurrent_jobs")
         queues[str(qid)] = QueueSpec(
             exclusive_nodes=bool(q.get("exclusive_nodes", True)),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import InfeasibleInstance
-from .model import ClusterSpec, InstanceGraph, JobCategory, QueueSpec
+from .model import ClusterSpec, InstanceGraph, JobCategory, QueueSpec, topological_order
 
 DEFAULT_QUEUE = QueueSpec(exclusive_nodes=True, max_concurrent_jobs=None)
 
@@ -52,7 +52,7 @@ class SimulationResult:
 
 def critical_path(graph: InstanceGraph) -> tuple[float, list[str]]:
     """Longest duration-weighted path; ties broken by lexicographic instance id."""
-    order = graph.topological_order()  # raises CycleDetected defensively
+    order = topological_order(graph.preds, graph.succs)  # raises CycleDetected
     dist: dict[str, float] = {}
     best_pred: dict[str, str | None] = {}
     for node in order:

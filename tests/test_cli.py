@@ -91,6 +91,16 @@ class TestSimulate:
         assert doc["makespan_s"] == pytest.approx(3536.2)
         assert doc["critical_path_s"] == pytest.approx(3536.2)
 
+    def test_queue_limit_below_one_is_invalid_cluster(self, tmp_path):
+        raw = json.loads(suite_model_path().read_text())
+        raw["cluster"]["queues"]["ns"]["max_concurrent_jobs"] = 0
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(raw))
+        proc = run_cli("simulate", "--model", str(model))
+        assert proc.returncode == 1
+        assert "error [InvalidCluster]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bad_nodes_value(self):
         proc = run_cli("simulate", "--nodes", "many")
         assert proc.returncode == 1
@@ -145,7 +155,11 @@ class TestModelCommand:
         assert model.cluster.node_count == 40
         assert model.cluster.idle_power_kw == 0.25
 
-    @pytest.mark.parametrize("content", ["{not json", "[1, 2]"], ids=["malformed", "list"])
+    @pytest.mark.parametrize(
+        "content",
+        ["{not json", "[1, 2]", '{"queues": []}', '{"queues": {"np": 5}}'],
+        ids=["malformed", "list", "queues-list", "queue-not-object"],
+    )
     def test_bad_cluster_file_is_error_not_traceback(self, tmp_path, content):
         cluster = tmp_path / "cluster.json"
         cluster.write_text(content)
@@ -217,3 +231,15 @@ class TestPipeline:
         assert proc.returncode == 1
         assert "1 ok" not in proc.stdout
         assert "skipped" in proc.stdout
+
+    def test_execute_cycle_names_the_cycle(self, tmp_path):
+        kjs = tmp_path / "cycle.kjs"
+        kjs.write_text(json.dumps({"jobs": [
+            {"job_id": 0, "name": "a", "depends_on": [1]},
+            {"job_id": 1, "name": "b", "depends_on": [0]},
+            {"job_id": 2, "name": "c", "depends_on": [1]},
+        ]}))
+        proc = run_cli("execute", "--schedule", str(kjs), "--inline",
+                       "--workdir", str(tmp_path / "scratch"))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: dependency cycle: 0 -> 1 -> 0\n"

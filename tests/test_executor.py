@@ -10,7 +10,7 @@ import pytest
 from epsim import stub
 
 from epsim.datafiles import edges_path, load_bundled_model
-from epsim.errors import CycleDetected, InvalidScale, JobFailed, MissingProfile, SchemaError
+from epsim.errors import CycleDetected, InvalidScale, MissingProfile, SchemaError
 from epsim.executor import (
     InlineBackend,
     LocalProcessBackend,
@@ -106,6 +106,14 @@ class TestTopoOrder:
         with pytest.raises(CycleDetected):
             topo_order(doc_of([sjob(0, [0])]))
 
+    def test_two_cycle_with_dependent_names_the_cycle(self, tmp_path):
+        doc = doc_of([sjob(0, [1]), sjob(1, [0]), sjob(2, [1])])
+        for run in (lambda: topo_order(doc), lambda: execute(doc, backend=FAST, workdir=tmp_path)):
+            with pytest.raises(CycleDetected) as exc:
+                run()
+            assert exc.value.cycle == [0, 1, 0]
+            assert str(exc.value) == "dependency cycle: 0 -> 1 -> 0"
+
     def test_unknown_dependency_id(self):
         with pytest.raises(SchemaError):
             topo_order(doc_of([sjob(0, [7])]))
@@ -176,11 +184,6 @@ class TestExecute:
         log = execute(doc, backend=LocalProcessBackend(), workdir=tmp_path)
         status = {e.job_id: e.status for e in log.entries}
         assert status == {0: "failed", 1: "skipped"}
-
-    def test_raise_on_failure(self, tmp_path):
-        doc = doc_of([sjob(0, metadata={"fail": True})])
-        with pytest.raises(JobFailed):
-            execute(doc, backend=FAST, workdir=tmp_path, raise_on_failure=True)
 
     def test_scratch_removed_on_success(self, tmp_path):
         doc = doc_of([sjob(0, write=1000)])

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies
 
-from epsim.errors import UnknownJob
+from epsim.errors import CycleDetected, UnknownJob
 from epsim.model import (
     ClusterSpec,
     DependencyEdge,
@@ -18,9 +19,11 @@ from epsim.model import (
     SuiteModel,
     category_of,
     expand_instances,
+    find_cycle,
     load_suite_model,
     suite_model_from_dict,
     suite_model_to_dict,
+    topological_order,
     validate_suite,
 )
 
@@ -222,8 +225,53 @@ def test_instance_counts_follow_role_multiplier(model):
 @given(strategies.suite_models())
 def test_expansion_preserves_acyclicity(model):
     graph = expand_instances(model)
-    order = graph.topological_order()  # raises CycleDetected on a cycle
+    order = topological_order(graph.preds, graph.succs)  # raises CycleDetected on a cycle
     assert len(order) == len(graph)
+
+
+@st.composite
+def int_digraphs(draw, max_nodes=8):
+    """(preds, succs, edges) over keys 0..n-1 inserted in random order; edges may repeat or loop."""
+    n = draw(st.integers(0, max_nodes))
+    keys = draw(st.permutations(range(n)))
+    node = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    preds = {k: [] for k in keys}
+    succs = {k: [] for k in keys}
+    for a, b in edges:
+        succs[a].append(b)
+        preds[b].append(a)
+    return preds, succs, edges
+
+
+@settings(max_examples=300)
+@given(int_digraphs())
+def test_graph_core_against_brute_force(graph):
+    preds, succs, edges = graph
+    # oracle for acyclicity: no node reaches itself (Warshall's closure)
+    reach = {v: set(succs[v]) for v in succs}
+    for k in succs:
+        for v in succs:
+            if k in reach[v]:
+                reach[v] |= reach[k]
+    acyclic = not any(v in reach[v] for v in succs)
+    assert (find_cycle(succs) is None) == acyclic
+    if acyclic:
+        # oracle for the order: repeatedly take the smallest node whose preds are placed
+        expected: list[int] = []
+        while len(expected) < len(succs):
+            expected.append(
+                min(v for v in succs if v not in expected and all(p in expected for p in preds[v]))
+            )
+        assert topological_order(preds, succs) == expected
+    else:
+        with pytest.raises(CycleDetected) as exc:
+            topological_order(preds, succs)
+        cycle = exc.value.cycle
+        assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+        assert len(set(cycle)) == len(cycle) - 1
+        assert all((a, b) in edges for a, b in zip(cycle, cycle[1:]))
+        assert str(exc.value) == "dependency cycle: " + " -> ".join(str(v) for v in cycle)
 
 
 @settings(max_examples=60)

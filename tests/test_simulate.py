@@ -151,9 +151,14 @@ class TestCriticalPath:
         assert all(graph.instances[i].member == 0 for i in chain)
 
     def test_cycle_detected(self):
-        g = graph_of([inst("A", 1.0), inst("B", 1.0)], {("A", "B"), ("B", "A")})
-        with pytest.raises(CycleDetected):
-            critical_path(g)
+        g = graph_of(
+            [inst("A", 1.0), inst("B", 1.0), inst("C", 1.0)],
+            {("A", "B"), ("B", "A"), ("B", "C")},
+        )
+        for run in (lambda: critical_path(g), lambda: simulate(g, UNLIMITED)):
+            with pytest.raises(CycleDetected) as exc:
+                run()
+            assert str(exc.value) == "dependency cycle: A -> B -> A"
 
     def test_empty_graph(self):
         assert critical_path(graph_of([])) == (0.0, [])
