@@ -7,13 +7,13 @@ outputs are deterministic for identical inputs; logging goes to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import datafiles
+from .codec import dump_json, enum_of, load_json
 from .energy import (
     affine_total,
     breakdown_csv,
@@ -39,7 +39,6 @@ from .model import (
     cluster_from_dict,
     expand_instances,
     load_edges,
-    load_json,
     load_suite_model,
     save_suite_model,
     validate_suite,
@@ -91,21 +90,17 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_category(raw: str) -> JobCategory:
-    try:
-        return JobCategory(raw)
-    except ValueError:
-        allowed = ", ".join(c.value for c in JobCategory)
-        raise SuiteError(f"unknown category {raw!r} (expected one of: {allowed})") from None
+_category = enum_of(JobCategory)
 
 
 def _parse_cat_map(pairs: list[str], what: str) -> dict[JobCategory, float]:
     out = {}
     for pair in pairs or []:
-        if "=" not in pair:
-            raise SuiteError(f"--{what} expects CATEGORY=VALUE, got {pair!r}")
         name, _, value = pair.partition("=")
-        out[_parse_category(name)] = float(value)
+        try:
+            out[_category(name, f"--{what}")] = float(value)
+        except ValueError:
+            raise SuiteError(f"--{what} expects CATEGORY=VALUE, got {pair!r}") from None
     return out
 
 
@@ -142,7 +137,7 @@ def cmd_ingest(args) -> int:
 def cmd_model(args) -> int:
     cluster = None
     if args.cluster:
-        cluster = cluster_from_dict(load_json(args.cluster))
+        cluster = load_json(args.cluster, cluster_from_dict)
     ensemble = None
     if args.n_control is not None or args.n_total is not None:
         ensemble = EnsembleConfig(
@@ -189,7 +184,7 @@ def cmd_report(args) -> int:
             "fractions": {c.value: v for c, v in sorted(breakdown.fractions.items())},
             "per_job_kj": breakdown.per_job_kj,
         }
-        _write_or_print(json.dumps(doc, indent=2) + "\n", args.output)
+        _write_or_print(dump_json(doc), args.output)
     elif args.format == "csv":
         _write_or_print(breakdown_csv(model, breakdown), args.output)
     else:
@@ -264,7 +259,7 @@ def cmd_simulate(args) -> int:
 def cmd_whatif(args) -> int:
     model = _load_model(args)
     if args.zero_category:
-        category = _parse_category(args.zero_category)
+        category = _category(args.zero_category, "--zero-category")
         paths = (
             [MemberPath.CONTROL, MemberPath.PERTURBED]
             if args.path == "both"
@@ -343,7 +338,7 @@ def cmd_execute(args) -> int:
         keep_scratch=args.keep_scratch,
     )
     if args.log:
-        Path(args.log).write_text(json.dumps(runlog.to_dict(), indent=2) + "\n", encoding="utf-8")
+        Path(args.log).write_text(dump_json(runlog.to_dict()), encoding="utf-8")
     counts = {"ok": 0, "failed": 0, "skipped": 0}
     for entry in sorted(runlog.entries, key=lambda e: e.job_id):
         counts[entry.status] += 1

@@ -1,0 +1,153 @@
+"""The JSON codec shared by every epsim document.
+
+Readers take a decoded value and its location `at` and return it typed, or
+raise SchemaError("<json path>: expected <type>, got <value>"). A location
+is a label string ("" at a document root) or a (parent location, key) pair;
+the path text is built only when an error is raised, so reading a large
+document formats nothing. Integer fields take JSON integers only, number
+fields take integers and floats, and true/false are never numbers.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from collections.abc import Callable
+from dataclasses import MISSING, fields
+from enum import Enum
+from pathlib import Path
+from typing import Any, NoReturn, TypeVar
+
+from .errors import SchemaError
+
+T = TypeVar("T")
+E = TypeVar("E", bound=Enum)
+Reader = Callable[[Any, Any], T]  # (value, location) -> typed value
+
+
+def _path_of(at) -> str:
+    """Dotted JSON path of a location, e.g. jobs[3].energy.fixed_kj."""
+    if not isinstance(at, tuple):
+        return at
+    parent, key = at
+    head = _path_of(parent)
+    if isinstance(key, int):
+        return f"{head}[{key}]"
+    return f"{head}.{key}" if head else str(key)
+
+
+def _fail(at, expected: str, value) -> NoReturn:
+    shown = json.dumps(value, default=str)
+    if len(shown) > 60:
+        shown = shown[:57] + "..."
+    where = _path_of(at)
+    message = f"expected {expected}, got {shown}"
+    raise SchemaError(f"{where}: {message}" if where else message)
+
+
+def obj(v, at) -> dict:
+    return v if isinstance(v, dict) else _fail(at, "object", v)
+
+
+def seq(v, at) -> list | tuple:
+    return v if isinstance(v, (list, tuple)) else _fail(at, "array", v)
+
+
+def integer(v, at) -> int:
+    return v if type(v) is int else _fail(at, "integer", v)
+
+
+def number(v, at) -> float:
+    # an integer beyond the float range would make float() raise OverflowError
+    if type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max):
+        return float(v)
+    _fail(at, "number", v)
+
+
+def string(v, at) -> str:
+    return v if isinstance(v, str) else _fail(at, "string", v)
+
+
+def boolean(v, at) -> bool:
+    return v if v is True or v is False else _fail(at, "boolean", v)
+
+
+def enum_of(cls: type[E]) -> Reader[E]:
+    members = {m.value: m for m in cls}
+    expected = "one of [" + ", ".join(members) + "]"
+
+    def read(v, at) -> E:
+        if isinstance(v, str) and v in members:
+            return members[v]
+        return v if isinstance(v, cls) else _fail(at, expected, v)
+
+    return read
+
+
+def nullable(read: Reader[T]) -> Reader[T | None]:
+    return lambda v, at: None if v is None else read(v, at)
+
+
+def tuple_of(read: Reader[T]) -> Reader[tuple[T, ...]]:
+    return lambda v, at: tuple([read(x, (at, i)) for i, x in enumerate(seq(v, at))])
+
+
+def dict_of(read_key: Reader, read_value: Reader) -> Reader[dict]:
+    """A JSON object's entries, each key and value through its reader."""
+    return lambda v, at: {read_key(k, (at, k)): read_value(x, (at, k)) for k, x in obj(v, at).items()}
+
+
+def _missing(at, key: str) -> NoReturn:
+    raise SchemaError(f"{_path_of((at, key))}: required field is missing")
+
+
+def req(o: dict, key: str, at, read: Reader[T]) -> T:
+    """Required field `key` of the object `o` found at `at`."""
+    return read(o[key], (at, key)) if key in o else _missing(at, key)
+
+
+def opt(o: dict, key: str, at, read: Reader[T], default: T) -> T:
+    """Optional field `key` of the object `o` found at `at`; absent gives `default`."""
+    return read(o[key], (at, key)) if key in o else default
+
+
+def record(cls: type[T], **readers: Reader) -> Reader[T]:
+    """Reader of a JSON object into the dataclass `cls`, given a reader for each field.
+
+    An absent field takes its dataclass default; a field without one is required.
+    """
+    spec = [(f, readers[f.name]) for f in fields(cls)]
+
+    def read(v, at="") -> T:
+        o = obj(v, at)
+        args = []
+        for f, r in spec:
+            if f.name in o:
+                args.append(r(o[f.name], (at, f.name)))
+            elif f.default is not MISSING:
+                args.append(f.default)
+            elif f.default_factory is not MISSING:
+                args.append(f.default_factory())
+            else:
+                _missing(at, f.name)
+        return cls(*args)
+
+    return read
+
+
+def load_json(path: str | Path, read: Reader[T]) -> T:
+    """Parse a JSON file and decode it with `read`; errors name the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad syntax, bad UTF-8 or nesting too deep
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        return read(raw, "")
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
+def dump_json(doc) -> str:
+    """The one document encoding: indent 2, a trailing newline."""
+    return json.dumps(doc, indent=2) + "\n"

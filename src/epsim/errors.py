@@ -46,6 +46,10 @@ class InfeasibleInstance(SuiteError):
         )
 
 
+class InvalidCluster(SuiteError):
+    pass
+
+
 class FormatError(SuiteError):
     def __init__(self, message, path=None, line=None):
         self.path = path

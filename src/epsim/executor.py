@@ -18,10 +18,11 @@ import sys
 import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import stub
+from .codec import dump_json, integer, load_json, number, obj, opt, record, req, string, tuple_of
 from .errors import (
     CycleDetected,
     InvalidScale,
@@ -41,7 +42,6 @@ from .model import (
     SuiteModel,
     expand_instances,
     find_job_cycle,
-    load_json,
     topological_order,
 )
 from .profiles import Phase, PhaseKind, UnifiedJobProfile, phase_from_dict, phase_to_dict
@@ -56,8 +56,8 @@ SCRATCH_ENV_VAR = "EPSIM_SCRATCH"
 class ScheduledJob:
     job_id: int
     name: str
-    depends_on: tuple[int, ...]
-    phases: tuple[Phase, ...]
+    depends_on: tuple[int, ...] = ()
+    phases: tuple[Phase, ...] = ()
     metadata: dict = field(default_factory=dict)
 
 
@@ -216,23 +216,8 @@ class RunLog:
         return {e.job_id: e for e in self.entries}
 
     def to_dict(self) -> dict:
-        return {
-            "workdir": self.workdir,
-            "parallelism": self.parallelism,
-            "jobs": [
-                {
-                    "job_id": e.job_id,
-                    "name": e.name,
-                    "status": e.status,
-                    "exit_status": e.exit_status,
-                    "start_wallclock": e.start_wallclock,
-                    "end_wallclock": e.end_wallclock,
-                    "bytes_read": e.bytes_read,
-                    "bytes_written": e.bytes_written,
-                }
-                for e in sorted(self.entries, key=lambda e: e.job_id)
-            ],
-        }
+        jobs = [asdict(e) for e in sorted(self.entries, key=lambda e: e.job_id)]
+        return {"workdir": self.workdir, "parallelism": self.parallelism, "jobs": jobs}
 
 
 @dataclass(frozen=True)
@@ -456,35 +441,30 @@ def schedule_to_dict(doc: ScheduleDocument) -> dict:
     }
 
 
-def schedule_from_dict(raw: dict) -> ScheduleDocument:
-    if not isinstance(raw, dict) or "jobs" not in raw:
-        raise SchemaError("schedule document needs a 'jobs' list")
-    scale = raw.get("scale", {})
-    jobs = []
-    for j in raw["jobs"]:
-        if "job_id" not in j or "name" not in j:
-            raise SchemaError("scheduled job needs 'job_id' and 'name'")
-        jobs.append(
-            ScheduledJob(
-                job_id=int(j["job_id"]),
-                name=str(j["name"]),
-                depends_on=tuple(int(d) for d in j.get("depends_on", [])),
-                phases=tuple(phase_from_dict(p) for p in j.get("phases", [])),
-                metadata=dict(j.get("metadata", {})),
-            )
-        )
-    jobs.sort(key=lambda j: j.job_id)
+_scheduled_job_from_dict = record(
+    ScheduledJob,
+    job_id=integer,
+    name=string,
+    depends_on=tuple_of(integer),
+    phases=tuple_of(phase_from_dict),
+    metadata=obj,
+)
+
+
+def schedule_from_dict(raw, at="") -> ScheduleDocument:
+    o = obj(raw, at)
+    scale = opt(o, "scale", at, obj, {})
     return ScheduleDocument(
-        jobs=tuple(jobs),
-        created_from=tuple(str(s) for s in raw.get("created_from", [])),
-        io_scale=float(scale.get("io_scale", 1.0)),
-        compute_scale=float(scale.get("compute_scale", 1.0)),
+        jobs=tuple(sorted(req(o, "jobs", at, tuple_of(_scheduled_job_from_dict)), key=lambda j: j.job_id)),
+        created_from=opt(o, "created_from", at, tuple_of(string), ()),
+        io_scale=opt(scale, "io_scale", (at, "scale"), number, 1.0),
+        compute_scale=opt(scale, "compute_scale", (at, "scale"), number, 1.0),
     )
 
 
 def save_schedule(doc: ScheduleDocument, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(schedule_to_dict(doc), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(dump_json(schedule_to_dict(doc)), encoding="utf-8")
 
 
 def load_schedule(path: str | Path) -> ScheduleDocument:
-    return schedule_from_dict(load_json(path))
+    return load_json(path, schedule_from_dict)

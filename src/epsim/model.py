@@ -9,13 +9,28 @@ instance graphs and schedule documents share live here too.
 from __future__ import annotations
 
 import heapq
-import json
 from collections.abc import Iterable, Mapping, Sized
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import TypeVar
 
+from .codec import (
+    boolean,
+    dict_of,
+    dump_json,
+    enum_of,
+    integer,
+    load_json,
+    nullable,
+    number,
+    obj,
+    opt,
+    record,
+    req,
+    string,
+    tuple_of,
+)
 from .errors import CycleDetected, ModelInvalid, SchemaError, UnknownJob
 
 K = TypeVar("K")  # a graph's node key, such as an instance id or a job id
@@ -179,7 +194,7 @@ class SuiteModel:
     ensemble: EnsembleConfig
     cluster: ClusterSpec
     jobs: tuple[JobProfile, ...]
-    edges: tuple[DependencyEdge, ...]
+    edges: tuple[DependencyEdge, ...] = ()
 
     def job(self, name: str) -> JobProfile:
         for j in self.jobs:
@@ -495,188 +510,71 @@ def expand_instances(model: SuiteModel) -> InstanceGraph:
 # Suite model file format (JSON)
 
 
-def _require(mapping: dict, key: str, ctx: str):
-    if key not in mapping:
-        raise SchemaError(f"{ctx}: missing field {key!r}")
-    return mapping[key]
+_energy_from_dict = record(EnergyTerm, **{f.name: number for f in fields(EnergyTerm)})
 
 
-def _enum(cls, raw, ctx: str):
-    try:
-        return cls(raw)
-    except ValueError:
-        allowed = ", ".join(m.value for m in cls)
-        raise SchemaError(f"{ctx}: {raw!r} is not one of [{allowed}]") from None
-
-
-def job_from_dict(raw: dict) -> JobProfile:
-    name = _require(raw, "name", "job")
-    ctx = f"job {name!r}"
-    energy_raw = raw.get("energy", {})
-    energy = EnergyTerm(
-        per_control_kj=float(energy_raw.get("per_control_kj", 0.0)),
-        per_perturbed_kj=float(energy_raw.get("per_perturbed_kj", 0.0)),
-        per_any_kj=float(energy_raw.get("per_any_kj", 0.0)),
-        fixed_kj=float(energy_raw.get("fixed_kj", 0.0)),
+def _repetition_from_dict(raw, at) -> RepetitionSpec:
+    o = obj(raw, at)
+    if "wave_widths" not in o:
+        return RepetitionSpec.from_counts(opt(o, "instances", at, integer, 1), opt(o, "waves", at, integer, 1))
+    return RepetitionSpec(
+        instances=req(o, "instances", at, integer),
+        waves=req(o, "waves", at, integer),
+        wave_widths=req(o, "wave_widths", at, tuple_of(integer)),
     )
-    rep_raw = raw.get("repetition")
-    if rep_raw is None:
-        rep = RepetitionSpec.single()
-    elif "wave_widths" in rep_raw:
-        rep = RepetitionSpec(
-            instances=int(_require(rep_raw, "instances", ctx)),
-            waves=int(_require(rep_raw, "waves", ctx)),
-            wave_widths=tuple(int(w) for w in rep_raw["wave_widths"]),
-        )
-    else:
-        rep = RepetitionSpec.from_counts(
-            int(rep_raw.get("instances", 1)), int(rep_raw.get("waves", 1))
-        )
+
+
+def job_from_dict(raw, at="") -> JobProfile:
+    o = obj(raw, at)
     return JobProfile(
-        name=str(name),
-        category=_enum(JobCategory, _require(raw, "category", ctx), ctx),
-        role=_enum(MemberRole, raw.get("role", "All"), ctx),
-        queue=str(_require(raw, "queue", ctx)),
-        cores_per_member=int(raw.get("cores_per_member", 1)),
-        wallclock_ctrl_s=float(raw.get("wallclock_ctrl_s", 0.0)),
-        wallclock_pert_s=float(raw.get("wallclock_pert_s", 0.0)),
-        energy=energy,
-        repetition=rep,
-        contaminated=bool(raw.get("contaminated", False)),
-        low_confidence=bool(raw.get("low_confidence", False)),
+        name=req(o, "name", at, string),
+        category=req(o, "category", at, enum_of(JobCategory)),
+        role=opt(o, "role", at, enum_of(MemberRole), MemberRole.ALL),
+        queue=req(o, "queue", at, string),
+        cores_per_member=opt(o, "cores_per_member", at, integer, 1),
+        wallclock_ctrl_s=opt(o, "wallclock_ctrl_s", at, number, 0.0),
+        wallclock_pert_s=opt(o, "wallclock_pert_s", at, number, 0.0),
+        energy=opt(o, "energy", at, _energy_from_dict, EnergyTerm()),
+        repetition=opt(o, "repetition", at, _repetition_from_dict, RepetitionSpec.single()),
+        contaminated=opt(o, "contaminated", at, boolean, False),
+        low_confidence=opt(o, "low_confidence", at, boolean, False),
     )
 
 
-def job_to_dict(job: JobProfile) -> dict:
-    return {
-        "name": job.name,
-        "category": job.category.value,
-        "role": job.role.value,
-        "queue": job.queue,
-        "cores_per_member": job.cores_per_member,
-        "wallclock_ctrl_s": job.wallclock_ctrl_s,
-        "wallclock_pert_s": job.wallclock_pert_s,
-        "energy": {
-            "per_control_kj": job.energy.per_control_kj,
-            "per_perturbed_kj": job.energy.per_perturbed_kj,
-            "per_any_kj": job.energy.per_any_kj,
-            "fixed_kj": job.energy.fixed_kj,
-        },
-        "repetition": {
-            "instances": job.repetition.instances,
-            "waves": job.repetition.waves,
-            "wave_widths": list(job.repetition.wave_widths),
-        },
-        "contaminated": job.contaminated,
-        "low_confidence": job.low_confidence,
-    }
-
-
-def edge_from_dict(raw: dict) -> DependencyEdge:
-    return DependencyEdge(
-        from_job=str(_require(raw, "from_job", "edge")),
-        to_job=str(_require(raw, "to_job", "edge")),
-        scope=_enum(EdgeScope, raw.get("scope", "SameMember"), "edge"),
-    )
-
-
-def edge_to_dict(edge: DependencyEdge) -> dict:
-    return {"from_job": edge.from_job, "to_job": edge.to_job, "scope": edge.scope.value}
-
-
-def cluster_from_dict(raw: dict) -> ClusterSpec:
-    if not isinstance(raw, dict):
-        raise SchemaError("cluster must be a JSON object")
-    raw_queues = raw.get("queues", {})
-    if not isinstance(raw_queues, dict):
-        raise SchemaError("cluster.queues must be a JSON object")
-    queues = {}
-    for qid, q in raw_queues.items():
-        if not isinstance(q, dict):
-            raise SchemaError(f"cluster.queues[{qid!r}] must be a JSON object")
-        mc = q.get("max_concurrent_jobs")
-        queues[str(qid)] = QueueSpec(
-            exclusive_nodes=bool(q.get("exclusive_nodes", True)),
-            max_concurrent_jobs=None if mc is None else int(mc),
-        )
-    node_count = raw.get("node_count")
-    return ClusterSpec(
-        node_count=None if node_count is None else int(node_count),
-        cores_per_node=int(raw.get("cores_per_node", 36)),
-        queues=queues,
-        idle_power_kw=float(raw.get("idle_power_kw", 0.3)),
-    )
-
-
-def cluster_to_dict(cluster: ClusterSpec) -> dict:
-    return {
-        "node_count": cluster.node_count,
-        "cores_per_node": cluster.cores_per_node,
-        "queues": {
-            qid: {
-                "exclusive_nodes": q.exclusive_nodes,
-                "max_concurrent_jobs": q.max_concurrent_jobs,
-            }
-            for qid, q in cluster.queues.items()
-        },
-        "idle_power_kw": cluster.idle_power_kw,
-    }
-
-
-def suite_model_from_dict(raw: dict) -> SuiteModel:
-    if not isinstance(raw, dict):
-        raise SchemaError("suite model must be a JSON object")
-    ens = _require(raw, "ensemble", "suite model")
-    ensemble = EnsembleConfig(
-        n_control=int(_require(ens, "n_control", "ensemble")),
-        n_total=int(_require(ens, "n_total", "ensemble")),
-    )
-    return SuiteModel(
-        ensemble=ensemble,
-        cluster=cluster_from_dict(_require(raw, "cluster", "suite model")),
-        jobs=tuple(job_from_dict(j) for j in _require(raw, "jobs", "suite model")),
-        edges=tuple(edge_from_dict(e) for e in raw.get("edges", [])),
-    )
+edge_from_dict = record(DependencyEdge, from_job=string, to_job=string, scope=enum_of(EdgeScope))
+cluster_from_dict = record(
+    ClusterSpec,
+    node_count=nullable(integer),
+    cores_per_node=integer,
+    queues=dict_of(string, record(QueueSpec, exclusive_nodes=boolean, max_concurrent_jobs=nullable(integer))),
+    idle_power_kw=number,
+)
+suite_model_from_dict = record(
+    SuiteModel,
+    ensemble=record(EnsembleConfig, n_control=integer, n_total=integer),
+    cluster=cluster_from_dict,
+    jobs=tuple_of(job_from_dict),
+    edges=tuple_of(edge_from_dict),
+)
 
 
 def suite_model_to_dict(model: SuiteModel) -> dict:
-    return {
-        "ensemble": {
-            "n_control": model.ensemble.n_control,
-            "n_total": model.ensemble.n_total,
-        },
-        "cluster": cluster_to_dict(model.cluster),
-        "jobs": [job_to_dict(j) for j in model.jobs],
-        "edges": [edge_to_dict(e) for e in model.edges],
-    }
-
-
-def load_json(path: str | Path):
-    """Parse a JSON file; malformed JSON raises SchemaError naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    return asdict(model)
 
 
 def load_suite_model(path: str | Path) -> SuiteModel:
-    return suite_model_from_dict(load_json(path))
+    return load_json(path, suite_model_from_dict)
 
 
 def save_suite_model(model: SuiteModel, path: str | Path) -> None:
-    Path(path).write_text(dumps_model(model), encoding="utf-8")
+    Path(path).write_text(dump_json(asdict(model)), encoding="utf-8")
 
 
-def dumps_model(model: SuiteModel) -> str:
-    return json.dumps(suite_model_to_dict(model), indent=2) + "\n"
+def _edge_list(raw, at) -> tuple[DependencyEdge, ...]:
+    edges = tuple_of(edge_from_dict)
+    return opt(raw, "edges", at, edges, ()) if isinstance(raw, dict) else edges(raw, at)
 
 
 def load_edges(path: str | Path) -> tuple[DependencyEdge, ...]:
     """Edge list file: {"edges": [...]} or a bare JSON list."""
-    raw = load_json(path)
-    if isinstance(raw, dict):
-        raw = raw.get("edges", [])
-    if not isinstance(raw, list):
-        raise SchemaError(f"{path}: expected an edge list")
-    return tuple(edge_from_dict(e) for e in raw)
+    return load_json(path, _edge_list)

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from .codec import dump_json, enum_of, integer, load_json, number, record, string, tuple_of
 from .errors import (
     DuplicateSource,
     FormatError,
@@ -44,7 +44,6 @@ from .model import (
     QueueSpec,
     RepetitionSpec,
     SuiteModel,
-    load_json,
 )
 
 log = logging.getLogger(__name__)
@@ -280,38 +279,25 @@ def profile_to_dict(profile: UnifiedJobProfile) -> dict:
     }
 
 
-def phase_from_dict(raw: dict) -> Phase:
-    try:
-        kind = PhaseKind(raw.get("kind"))
-    except ValueError:
-        raise SchemaError(f"unknown phase kind {raw.get('kind')!r}") from None
-    return Phase(
-        kind=kind,
-        duration_s=float(raw.get("duration_s", 0.0)),
-        bytes=int(raw.get("bytes", 0)),
-        ranks=int(raw.get("ranks", 1)),
-    )
+phase_from_dict = record(Phase, kind=enum_of(PhaseKind), duration_s=number, bytes=integer, ranks=integer)
+_profile_from_dict = record(
+    UnifiedJobProfile, job=string, phases=tuple_of(phase_from_dict), provenance=tuple_of(string)
+)
 
 
-def profile_from_dict(raw: dict) -> UnifiedJobProfile:
-    if "job" not in raw or "phases" not in raw:
-        raise SchemaError("unified profile needs 'job' and 'phases'")
-    phases = tuple(phase_from_dict(p) for p in raw["phases"])
-    if not phases:
-        raise SchemaError(f"{raw['job']}: phase list may not be empty")
-    return UnifiedJobProfile(
-        job=str(raw["job"]),
-        phases=phases,
-        provenance=tuple(str(s) for s in raw.get("provenance", [])),
-    )
+def profile_from_dict(raw, at="") -> UnifiedJobProfile:
+    profile = _profile_from_dict(raw, at)
+    if not profile.phases:
+        raise SchemaError(f"{profile.job}: phase list may not be empty")
+    return profile
 
 
 def save_profile(profile: UnifiedJobProfile, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(profile_to_dict(profile), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(dump_json(profile_to_dict(profile)), encoding="utf-8")
 
 
 def load_profile(path: str | Path) -> UnifiedJobProfile:
-    return profile_from_dict(load_json(path))
+    return load_json(path, profile_from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +358,8 @@ def ingest_measurements(
                 raise NegativeValue(f"{ctx}: column {column!r} is negative: {raw}")
             return value
 
-        try:
-            category = JobCategory(rec["stage"])
-        except ValueError:
-            raise SchemaError(f"{ctx}: unknown stage {rec['stage']!r}") from None
-        try:
-            role = MemberRole(rec["role"])
-        except ValueError:
-            raise SchemaError(f"{ctx}: unknown role {rec['role']!r}") from None
+        category = enum_of(JobCategory)(rec["stage"], f"{ctx}: column 'stage'")
+        role = enum_of(MemberRole)(rec["role"], f"{ctx}: column 'role'")
         contaminated_raw = rec["contaminated"].strip().lower()
         if contaminated_raw not in ("true", "false"):
             raise SchemaError(f"{ctx}: contaminated must be true or false")

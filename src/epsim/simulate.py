@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import heapq
 import io
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import InfeasibleInstance
+from .codec import dump_json
+from .errors import InfeasibleInstance, InvalidCluster
 from .model import ClusterSpec, InstanceGraph, JobCategory, QueueSpec, topological_order
 
 DEFAULT_QUEUE = QueueSpec(exclusive_nodes=True, max_concurrent_jobs=None)
@@ -130,15 +130,19 @@ class _NodePool:
 def simulate(graph: InstanceGraph, cluster: ClusterSpec) -> SimulationResult:
     """Event-driven list scheduling of the instance graph on the cluster.
 
-    Raises CycleDetected when the graph has a dependency cycle, and
-    InfeasibleInstance when an instance needs more nodes or cores than the
-    idle cluster has; both are raised before any event is produced.
-    InfeasibleInstance is also raised when an instance never starts because
-    its queue admits no job (max_concurrent_jobs 0).
+    Raises CycleDetected when the graph has a dependency cycle,
+    InvalidCluster when an instance's queue admits no job (a
+    max_concurrent_jobs below 1), and InfeasibleInstance when an instance
+    needs more nodes or cores than the idle cluster has; all are raised
+    before any event is produced.
     """
     queues = dict(cluster.queues)
     for inst in graph.instances.values():
         q = queues.setdefault(inst.queue, DEFAULT_QUEUE)
+        if q.max_concurrent_jobs is not None and q.max_concurrent_jobs < 1:
+            raise InvalidCluster(
+                f"queue {inst.queue!r} admits no job: max_concurrent_jobs is {q.max_concurrent_jobs}"
+            )
         if q.exclusive_nodes:
             need = node_demand(inst.cores, q, cluster)
             if cluster.node_count is not None and need > cluster.node_count:
@@ -211,11 +215,6 @@ def simulate(graph: InstanceGraph, cluster: ClusterSpec) -> SimulationResult:
                     submit(succ, now)
         try_dispatch(now)
 
-    if len(finish_times) != len(graph):
-        # a queue that admits no job (max_concurrent_jobs 0) never starts anything
-        stuck = sorted(set(graph.ids()) - set(finish_times))
-        raise InfeasibleInstance(stuck[0], -1, -1)
-
     makespan = max(finish_times.values(), default=0.0)
     per_node = {nid: _union_length(iv) for nid, iv in sorted(node_intervals.items())}
     per_cat: dict[JobCategory, float] = {}
@@ -281,4 +280,4 @@ def summary_json(result: SimulationResult, cluster: ClusterSpec) -> str:
         "aggregate_utilization": aggregate,
         "per_category_busy_s": {c.value: v for c, v in sorted(result.per_category_busy_s.items())},
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return dump_json(doc)

@@ -7,12 +7,13 @@ category energy terms; speedups and energy factors are independent knobs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from .codec import dict_of, enum_of, integer, load_json, nullable, number, record
 from .energy import job_energy, suite_total
-from .errors import DegeneratePath, InvalidScenario, SchemaError
-from .model import EnsembleConfig, JobCategory, MemberPath, SuiteModel, load_json
+from .errors import DegeneratePath, InvalidScenario
+from .model import EnsembleConfig, JobCategory, MemberPath, SuiteModel
 
 
 @dataclass(frozen=True)
@@ -121,44 +122,27 @@ def compose(first: Scenario, second: Scenario) -> Scenario:
     )
 
 
-def scenario_from_dict(raw: dict) -> Scenario:
-    if not isinstance(raw, dict):
-        raise SchemaError("scenario must be a JSON object")
+_factors = dict_of(enum_of(JobCategory), number)
+_scenario_from_dict = record(
+    Scenario,
+    n_prime=nullable(integer),
+    N_prime=nullable(integer),
+    speedup=_factors,
+    energy_factor=_factors,
+    io_scale=number,
+    compute_scale=number,
+)
 
-    def cat_map(key: str) -> dict[JobCategory, float]:
-        out = {}
-        for name, value in raw.get(key, {}).items():
-            try:
-                cat = JobCategory(name)
-            except ValueError:
-                raise SchemaError(f"scenario.{key}: unknown category {name!r}") from None
-            out[cat] = float(value)
-        return out
 
-    n_prime = raw.get("n_prime")
-    N_prime = raw.get("N_prime")
-    scenario = Scenario(
-        n_prime=None if n_prime is None else int(n_prime),
-        N_prime=None if N_prime is None else int(N_prime),
-        speedup=cat_map("speedup"),
-        energy_factor=cat_map("energy_factor"),
-        io_scale=float(raw.get("io_scale", 1.0)),
-        compute_scale=float(raw.get("compute_scale", 1.0)),
-    )
+def scenario_from_dict(raw, at="") -> Scenario:
+    scenario = _scenario_from_dict(raw, at)
     scenario.check()
     return scenario
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "n_prime": s.n_prime,
-        "N_prime": s.N_prime,
-        "speedup": {c.value: v for c, v in s.speedup.items()},
-        "energy_factor": {c.value: v for c, v in s.energy_factor.items()},
-        "io_scale": s.io_scale,
-        "compute_scale": s.compute_scale,
-    }
+    return asdict(s)
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return scenario_from_dict(load_json(path))
+    return load_json(path, scenario_from_dict)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from epsim.cli import main
 from epsim.datafiles import edges_path, measurements_path, profiles_dir, suite_model_path
 from epsim.model import load_suite_model
 
@@ -243,3 +244,57 @@ class TestPipeline:
                        "--workdir", str(tmp_path / "scratch"))
         assert proc.returncode == 1
         assert proc.stderr == "error: dependency cycle: 0 -> 1 -> 0\n"
+
+
+TINY_KJS = {
+    "created_from": [],
+    "scale": {"io_scale": 1.0, "compute_scale": 1.0},
+    "jobs": [
+        {"job_id": 0, "name": "a", "depends_on": [],
+         "phases": [{"kind": "compute", "duration_s": 0.0}], "metadata": {}},
+        {"job_id": 1, "name": "b", "depends_on": [0],
+         "phases": [{"kind": "compute", "duration_s": 0.0}], "metadata": {}},
+    ],
+}
+
+# (document, keys to the replaced value, new value, JSON path the error names)
+MALFORMED = [
+    ("model", ["ensemble", "n_control"], "two", "ensemble.n_control"),
+    ("model", ["ensemble"], 3, "ensemble"),
+    ("model", ["jobs", 0, "energy"], [1, 2], "jobs[0].energy"),
+    ("model", ["jobs", 0, "repetition", "wave_widths"], 5, "jobs[0].repetition.wave_widths"),
+    ("model", ["jobs", 0, "cores_per_member"], None, "jobs[0].cores_per_member"),
+    ("model", ["jobs"], {"a": 1}, "jobs"),
+    ("kjs", ["jobs", 0, "phases", 0, "duration_s"], "x", "jobs[0].phases[0].duration_s"),
+    ("kjs", ["jobs", 1, "depends_on"], 5, "jobs[1].depends_on"),
+    ("kjs", ["scale"], 3, "scale"),
+    ("kjs", ["jobs"], [5], "jobs[0]"),
+    ("kjs", ["jobs", 0, "metadata"], [1], "jobs[0].metadata"),
+    ("kjs", ["jobs", 0, "phases"], [5], "jobs[0].phases[0]"),
+    ("scenario", ["speedup"], [1], "speedup"),
+    ("scenario", ["io_scale"], "big", "io_scale"),
+]
+
+
+@pytest.mark.parametrize("document,keys,value,json_path", MALFORMED, ids=[m[3] for m in MALFORMED])
+def test_malformed_input_names_its_json_path(tmp_path, capsys, document, keys, value, json_path):
+    doc = {
+        "model": lambda: json.loads(suite_model_path().read_text()),
+        "kjs": lambda: json.loads(json.dumps(TINY_KJS)),
+        "scenario": lambda: {"speedup": {"Forecast": 2.0}, "io_scale": 1.0},
+    }[document]()
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "model": ["report", "--model", str(path)],
+        "kjs": ["execute", "--schedule", str(path), "--inline", "--workdir", str(tmp_path / "w")],
+        "scenario": ["whatif", "--scenario", str(path)],
+    }[document]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{path}: {json_path}: expected " in err

@@ -1,0 +1,147 @@
+"""The JSON codec: typed readers that name the JSON path, and a fuzz of every loader."""
+
+import copy
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from epsim.codec import integer, load_json, number, record, string, tuple_of
+from epsim.datafiles import edges_path, suite_model_path
+from epsim.errors import SchemaError, SuiteError
+from epsim.executor import generate_schedule, load_schedule, schedule_to_dict
+from epsim.model import EnsembleConfig, JobCategory, QueueSpec, load_edges, load_suite_model
+from epsim.profiles import load_profile, profile_to_dict
+from epsim.whatif import Scenario, load_scenario, scenario_to_dict
+from test_pins import bundled_profiles
+
+
+class TestReaders:
+    @pytest.mark.parametrize("value", [1.0, True, "1", None])
+    def test_integer_takes_json_integers_only(self, value):
+        with pytest.raises(SchemaError, match=r"^n: expected integer, got "):
+            integer(value, ("", "n"))
+
+    def test_number_takes_integers_as_floats(self):
+        value = number(3, "")
+        assert value == 3.0 and type(value) is float
+
+    @pytest.mark.parametrize("value", [True, False, "1", 10**400])
+    def test_booleans_strings_and_overflowing_integers_are_not_numbers(self, value):
+        with pytest.raises(SchemaError, match=r"^expected number, got "):
+            number(value, "")
+
+    def test_path_names_keys_and_indices(self):
+        at = ((((("", "jobs"), 3), "phases"), 0), "duration_s")
+        with pytest.raises(SchemaError) as exc:
+            number("x", at)
+        assert str(exc.value) == 'jobs[3].phases[0].duration_s: expected number, got "x"'
+
+    def test_record_requires_fields_without_defaults(self):
+        read = record(QueueSpec, exclusive_nodes=integer, max_concurrent_jobs=integer)
+        assert read({}) == QueueSpec()
+        read = record(EnsembleConfig, n_control=integer, n_total=integer)
+        with pytest.raises(SchemaError, match=r"^ensemble\.n_total: required field is missing$"):
+            read({"n_control": 1}, ("", "ensemble"))
+
+    def test_long_values_are_cut(self):
+        with pytest.raises(SchemaError) as exc:
+            tuple_of(string)(["ok", list(range(100))], "names")
+        message = str(exc.value)
+        assert message.startswith("names[1]: expected string, got [0, 1, 2")
+        assert message.endswith("...") and len(message) < 100
+
+    def test_load_json_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff{")
+        with pytest.raises(SchemaError, match="bad.json: not valid JSON"):
+            load_json(path, integer)
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(SchemaError, match="bad.json: not valid JSON"):
+            load_json(path, integer)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: mutated bundled documents reach the loaders, and only SuiteError escapes
+
+
+def _documents():
+    profiles = bundled_profiles()
+    schedule = generate_schedule(profiles, list(load_edges(edges_path())), EnsembleConfig(1, 1))
+    scenario = Scenario(
+        n_prime=2,
+        N_prime=40,
+        speedup={JobCategory.FORECAST: 2.0},
+        energy_factor={JobCategory.LBCS: 0.5},
+        io_scale=0.5,
+    )
+    as_json = lambda doc: json.loads(json.dumps(doc))  # noqa: E731 - plain JSON values only
+    return {
+        "model": (json.loads(suite_model_path().read_text()), load_suite_model),
+        "scenario": (as_json(scenario_to_dict(scenario)), load_scenario),
+        "kjp": (as_json(profile_to_dict(profiles[0])), load_profile),
+        "kjs": (as_json(schedule_to_dict(schedule)), load_schedule),
+    }
+
+
+DOCUMENTS = _documents()
+REPLACEMENTS = [None, True, False, 0, -1, 2.5, "x", "", [], {}, [1], {"a": 1}]
+
+
+def _locations(doc, keys=()):
+    yield keys
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _locations(v, keys + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _locations(v, keys + (i,))
+
+
+def _mutate(doc, pick: int, op: str, value):
+    where = list(_locations(doc))[pick % sum(1 for _ in _locations(doc))]
+    if not where:
+        return value  # the whole document replaced
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    old = parent[where[-1]]
+    if op == "drop":
+        del parent[where[-1]]
+    elif op == "container" and isinstance(old, dict):
+        parent[where[-1]] = list(old.values())
+    elif op == "container" and isinstance(old, list):
+        parent[where[-1]] = {str(i): v for i, v in enumerate(old)}
+    else:
+        parent[where[-1]] = value
+    return doc
+
+
+mutations = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from(["drop", "type", "container"]),
+        st.sampled_from(REPLACEMENTS),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@pytest.mark.parametrize("document", list(DOCUMENTS))
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(steps=mutations)
+def test_loaders_raise_only_suite_errors(tmp_path, document, steps):
+    doc, load = DOCUMENTS[document]
+    doc = copy.deepcopy(doc)
+    for pick, op, value in steps:
+        doc = _mutate(doc, pick, op, copy.deepcopy(value))
+    path = tmp_path / f"fuzz.{document}"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        load(path)
+    except SchemaError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    except SuiteError:
+        pass  # a semantic check, such as Scenario.check

@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 from epsim.cli import main
-from epsim.datafiles import edges_path, load_bundled_model, profiles_dir
+from epsim.codec import dump_json
+from epsim.datafiles import edges_path, load_bundled_model, profiles_dir, suite_model_path
 from epsim.executor import generate_schedule, save_schedule
-from epsim.model import EnsembleConfig, expand_instances, load_edges
-from epsim.profiles import IoMode, merge_profiles, parse_io_profile, parse_mpi_profile
+from epsim.model import EnsembleConfig, JobCategory, expand_instances, load_edges
+from epsim.profiles import IoMode, merge_profiles, parse_io_profile, parse_mpi_profile, save_profile
 from epsim.simulate import events_csv, simulate, summary_json
+from epsim.whatif import Scenario, scenario_to_dict
 
 SIM_PINS = {  # (n_total, node_count) -> (events_csv, summary_json)
     (22, None): (
@@ -37,6 +39,8 @@ SIM_PINS = {  # (n_total, node_count) -> (events_csv, summary_json)
 }
 REPORT_JSON_PIN = "5aa61e580b6723352510b8f7bd4bc61b56c5f189fee3f3f16ba4bf9ebd835cea"
 KJS_PIN = "dec91604c115b7fdc2da0018a31958c8711b5b198b79188d62db99919e61514d"
+KJP_PIN = "be20ee45720ddd2b4bdd884623a0407d2ae85e7bdfa98d9fee7038cd9f1d2d91"
+SCENARIO_PIN = "4ac5fcd330b818856e6549913f680575525391523523ed47ed7c1e54596c40d5"
 
 
 def _sha256(text: str) -> str:
@@ -63,9 +67,9 @@ def test_report_json(capsys):
     assert _sha256(capsys.readouterr().out) == REPORT_JSON_PIN
 
 
-def test_bundled_schedule(tmp_path):
-    # what `epsim ingest` + `epsim schedule` write, with provenance cut to
-    # file names so the digest does not depend on where the checkout lives
+def bundled_profiles():
+    # what `epsim ingest` merges, with provenance cut to file names so the
+    # digests do not depend on where the checkout lives
     by_job: dict[str, list] = {}
     for src in sorted(profiles_dir().iterdir()):
         if src.suffix == ".mpiprof":
@@ -78,6 +82,37 @@ def test_bundled_schedule(tmp_path):
     for job in sorted(by_job):
         profile = merge_profiles(by_job[job])
         profiles.append(replace(profile, provenance=tuple(Path(s).name for s in profile.provenance)))
+    return profiles
+
+
+def test_model_rebuild_matches_committed_file(tmp_path):
+    # the committed model is an independent oracle for `epsim model`'s writer
+    out = tmp_path / "m.json"
+    assert main(["model", "-o", str(out)]) == 0
+    assert out.read_bytes() == suite_model_path().read_bytes()
+
+
+def test_bundled_profile(tmp_path):
+    (forecast,) = [p for p in bundled_profiles() if p.job == "Forecast"]
+    target = tmp_path / "Forecast.kjp"
+    save_profile(forecast, target)
+    assert _sha256(target.read_text(encoding="utf-8")) == KJP_PIN
+
+
+def test_scenario_document():
+    scenario = Scenario(
+        n_prime=3,
+        N_prime=42,
+        speedup={JobCategory.FORECAST: 2.0, JobCategory.DATA_ASSIMILATION: 1.5},
+        energy_factor={JobCategory.FORECAST: 0.5},
+        io_scale=0.25,
+    )
+    assert _sha256(dump_json(scenario_to_dict(scenario))) == SCENARIO_PIN
+
+
+def test_bundled_schedule(tmp_path):
+    # what `epsim ingest` + `epsim schedule` write
+    profiles = bundled_profiles()
     doc = generate_schedule(profiles, list(load_edges(edges_path())), EnsembleConfig(1, 1))
     assert len(doc.jobs) == 16
     target = tmp_path / "suite.kjs"

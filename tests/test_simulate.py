@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import oracle_data as oracle
 import strategies
 
-from epsim.errors import CycleDetected, InfeasibleInstance
+from epsim.errors import CycleDetected, InfeasibleInstance, InvalidCluster
 from epsim.model import (
     ClusterSpec,
     Instance,
@@ -219,6 +219,16 @@ class TestSimulate:
         g = graph_of([inst("A", 1.0), inst("B", 1.0)])
         result = simulate(g, cluster)
         assert result.makespan_s == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_queue_admitting_no_job_is_rejected_before_any_event(self, limit):
+        # called directly, without validate_suite in front
+        queues = {"np": QueueSpec(True), "ns": QueueSpec(False, limit)}
+        cluster = ClusterSpec(node_count=4, cores_per_node=4, queues=queues)
+        g = graph_of([inst("A", 1.0), inst("B", 1.0, queue="ns")], {("A", "B")})
+        with pytest.raises(InvalidCluster) as exc:
+            simulate(g, cluster)
+        assert str(exc.value) == f"queue 'ns' admits no job: max_concurrent_jobs is {limit}"
 
     def test_deterministic_event_log(self, bundled_model):
         graph = expand_instances(bundled_model)
