@@ -13,9 +13,12 @@ import heapq
 import json
 import logging
 import os
+import select
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
@@ -245,7 +248,11 @@ def stub_spec(job: ScheduledJob, workdir: Path, desk_scale: float, compute_ceili
 
 
 class _StubBackend:
-    """Desk-scale settings shared by the two backends."""
+    """Desk-scale settings shared by the two backends; a context manager.
+
+    `execute` holds the backend open for the run and closes it on any exit,
+    KeyboardInterrupt included.
+    """
 
     def __init__(self, desk_scale: float = 100.0, compute_ceiling_s: float = 30.0):
         if desk_scale <= 0:
@@ -253,40 +260,165 @@ class _StubBackend:
         self.desk_scale = desk_scale
         self.compute_ceiling_s = compute_ceiling_s
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        pass
+
+
+class _Zygote:
+    """One ``stub.py --serve`` fork server, used by one worker thread at a time."""
+
+    def __init__(self):
+        # its own session: a terminal's Ctrl-C does not reach it or its jobs,
+        # and killpg ends both
+        self.proc = subprocess.Popen(
+            [sys.executable, "-I", "-S", stub.__file__, "--serve"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        self.poll = select.poll()  # poll, not select: no FD_SETSIZE limit on the fd
+        self.poll.register(self.proc.stdout, select.POLLIN)
+        self.buf = b""
+        self.job_pid: int | None = None  # the forked job in flight, once reported
+        self.busy = False
+
+    def send(self, spec: dict) -> None:
+        self.proc.stdin.write(json.dumps(spec).encode() + b"\n")
+        self.proc.stdin.flush()
+
+    def read(self, deadline: float):
+        """The next line as JSON, or None once `deadline` (monotonic) passes."""
+        while b"\n" not in self.buf:
+            if not self.poll.poll(max(deadline - time.monotonic(), 0) * 1e3):
+                return None
+            chunk = os.read(self.proc.stdout.fileno(), 4096)
+            if not chunk:
+                raise RuntimeError(f"stub server {self.proc.pid} exited")
+            self.buf += chunk
+        line, _, self.buf = self.buf.partition(b"\n")
+        return json.loads(line)
+
+    def kill_job(self) -> None:
+        if self.job_pid is not None:
+            try:
+                os.kill(self.job_pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+    def stop(self) -> None:
+        """Kill the server's process group and reap the server."""
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        self.proc.wait()
+        self.proc.stdin.close()
+        self.proc.stdout.close()
+
 
 class LocalProcessBackend(_StubBackend):
-    """Runs each stub job as a separate local Python process.
+    """Runs each stub job as its own local process, forked by a stub server.
 
-    The stub file is run as a plain script under ``-I -S``: the child needs
-    only the stdlib, so it skips ``site``, the ``PYTHON*`` variables and the
-    epsim package import, which would otherwise dominate each job's cost.
+    Each worker thread lazily starts one ``python -I -S stub.py --serve``
+    process and sends it one job at a time; the server forks a child per job
+    and reports its pid and then its result. A job costs a fork, not an
+    interpreter start, and the server never imports the epsim package.
+    POSIX only. `close()` kills the jobs in flight, lets their servers reap
+    them, then kills and reaps the servers.
     """
 
     # Seconds a stub may run beyond its desk-scaled compute before it is
-    # killed; covers interpreter start-up and the I/O phases.
+    # killed; covers the fork and the I/O phases.
     TIMEOUT_MARGIN_S = 60.0
     TIMEOUT_EXIT = 124  # exit status recorded for a killed job, as timeout(1) reports it
+    REAP_GRACE_S = 2.0  # how long a server may take to report a job that was killed
+
+    def __init__(self, desk_scale: float = 100.0, compute_ceiling_s: float = 30.0):
+        super().__init__(desk_scale, compute_ceiling_s)
+        self._local = threading.local()
+        self._cond = threading.Condition()
+        self._zygotes: list[_Zygote] = []
+        self._closed = False
+
+    def __enter__(self):
+        self._closed = False
+        return self
+
+    def _acquire(self) -> _Zygote:
+        z = getattr(self._local, "zygote", None)
+        with self._cond:
+            if self._closed:
+                raise RuntimeError("backend is closed")
+            if z is None or z not in self._zygotes:
+                z = self._local.zygote = _Zygote()
+                self._zygotes.append(z)
+            z.busy = True
+        return z
+
+    def _release(self, z: _Zygote, broken: bool) -> None:
+        with self._cond:
+            z.busy = False
+            z.job_pid = None
+            self._cond.notify_all()
+            retire = broken and z in self._zygotes  # else close() stops it
+            if retire:
+                self._zygotes.remove(z)
+        if retire:
+            z.stop()
 
     def run(self, job: ScheduledJob, workdir: Path) -> BackendResult:
         spec = stub_spec(job, workdir, self.desk_scale, self.compute_ceiling_s)
-        specfile = workdir / f"j{job.job_id:05d}.spec.json"
-        specfile.write_text(json.dumps(spec), encoding="utf-8")
         timeout = self.TIMEOUT_MARGIN_S + sum(p.get("duration_s", 0.0) for p in spec["phases"])
+        z = self._acquire()
+        msg = None
         try:
-            proc = subprocess.run(
-                [sys.executable, "-I", "-S", stub.__file__, str(specfile)],
-                capture_output=True,
-                text=True,
-                timeout=timeout,
-            )
-        except subprocess.TimeoutExpired:  # run() has killed and reaped the child
+            z.send(spec)
+            deadline = time.monotonic() + timeout
+            timed_out = False
+            while True:
+                msg = z.read(deadline)
+                if isinstance(msg, dict):
+                    break
+                if isinstance(msg, int):  # the job's pid
+                    log.debug("stub job %d (%s) runs as pid %d", job.job_id, job.name, msg)
+                    with self._cond:
+                        z.job_pid = msg
+                        closed = self._closed
+                    if closed:  # close() ran before the pid was known
+                        z.kill_job()
+                elif timed_out or z.job_pid is None:  # the server itself is stuck
+                    raise RuntimeError(f"stub server {z.proc.pid} did not report job {job.job_id}")
+                else:
+                    timed_out = True
+                    z.kill_job()  # the server reaps it and reports
+                    deadline = time.monotonic() + self.REAP_GRACE_S
+        finally:
+            self._release(z, broken=not isinstance(msg, dict))
+        if timed_out:
             log.warning("stub job %d (%s) killed after %.1f s", job.job_id, job.name, timeout)
             return BackendResult(exit_code=self.TIMEOUT_EXIT)
-        if proc.returncode != 0:
-            log.warning("stub job %d (%s) failed: %s", job.job_id, job.name, proc.stderr.strip())
-            return BackendResult(exit_code=proc.returncode)
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
-        return BackendResult(0, int(result["bytes_read"]), int(result["bytes_written"]))
+        if msg["exit"] != 0:
+            log.warning("stub job %d (%s) failed: %s", job.job_id, job.name, msg.get("error", ""))
+            return BackendResult(exit_code=msg["exit"])
+        return BackendResult(0, int(msg["bytes_read"]), int(msg["bytes_written"]))
+
+    def close(self) -> None:
+        with self._cond:
+            self._closed = True
+            zygotes, self._zygotes = self._zygotes, []
+            for z in zygotes:
+                z.kill_job()
+            # each killed job is reaped by its own server before the server goes
+            self._cond.wait_for(lambda: not any(z.busy for z in zygotes), self.REAP_GRACE_S)
+        for z in zygotes:
+            z.stop()
 
 
 class InlineBackend(_StubBackend):
@@ -364,7 +496,9 @@ def execute(
             )
             stack.extend(succs[jid])
 
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+    # the backend closes first, killing the jobs in flight, so that the pool's
+    # shutdown never waits them out
+    with ThreadPoolExecutor(max_workers=parallelism) as pool, backend:
         while ready or running:
             while ready and len(running) < parallelism:
                 jid = heapq.heappop(ready)
@@ -409,7 +543,7 @@ def execute(
 
 def _cleanup_scratch(path: Path, doc: ScheduleDocument, created_tmp: bool) -> None:
     for j in doc.jobs:
-        for suffix in (".spec.json", ".in", ".out"):
+        for suffix in (".in", ".out"):
             f = path / f"j{j.job_id:05d}{suffix}"
             if f.exists():
                 f.unlink()

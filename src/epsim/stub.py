@@ -1,15 +1,19 @@
 """Synthetic stub job: executes the phases of one scheduled job.
 
-The process backend launches this file as a stand-alone script,
-``python -I -S <path>/stub.py <specfile.json>``, so a job's start-up costs
-one bare interpreter and never imports the epsim package. That is why this
-module imports nothing but ``json``, ``os``, ``sys`` and ``time``.
-``python -m epsim.stub <specfile.json>`` runs the same code by hand.
+The process backend starts this file once per worker slot as a stand-alone
+fork server, ``python -I -S <path>/stub.py --serve``: one bare interpreter
+that never imports the epsim package, which is why this module imports
+nothing but ``json``, ``os``, ``sys`` and ``time``. By hand:
+``echo '<spec>' | python -m epsim.stub --serve``.
 
-The spec file carries the job's phases with compute durations already
-desk-scaled by the backend. Prints a one-line JSON result
-({"bytes_read": .., "bytes_written": ..}) on stdout and exits non-zero on
-failure.
+The server reads one job spec per line on stdin, as JSON, with compute
+durations already desk-scaled by the backend. For each spec it forks a child
+that runs the phases and sends back through a pipe either
+{"bytes_read": .., "bytes_written": ..} or {"error": ".."}. The server writes
+two lines on stdout: the child's pid, as soon as it is forked, and then,
+once it has reaped the child, that result with "exit" added (the child's exit
+status, negative for a signal). So each job is its own process, which can be
+killed alone, and costs a fork instead of an interpreter start. POSIX only.
 """
 
 from __future__ import annotations
@@ -88,19 +92,57 @@ def run_phases(spec: dict) -> tuple[int, int]:
     return bytes_read, bytes_written
 
 
+def _say(msg) -> None:
+    # straight to fd 1: no stdio buffer to flush before a fork or to copy into the child
+    os.write(1, (json.dumps(msg) + "\n").encode())
+
+
+def _child(spec: dict, pipe: tuple[int, int]) -> None:
+    """Run one job in the forked child; the result goes down the pipe, then _exit."""
+    code = 1
+    try:
+        os.close(pipe[0])
+        null = os.open(os.devnull, os.O_RDWR)  # keep the zygote's protocol pipes out of the job
+        os.dup2(null, 0)
+        os.dup2(null, 1)
+        try:
+            bytes_read, bytes_written = run_phases(spec)
+            result = {"bytes_read": bytes_read, "bytes_written": bytes_written}
+            code = 0
+        except Exception as exc:
+            result = {"error": str(exc) if isinstance(exc, StubFailure) else repr(exc)}
+        os.write(pipe[1], json.dumps(result).encode())
+    finally:
+        os._exit(code)
+
+
+def serve() -> None:
+    """Fork one child per spec line on stdin; report its pid, then its result, on stdout."""
+    for line in sys.stdin.buffer:
+        spec = json.loads(line)
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            _child(spec, (r, w))
+        os.close(w)
+        _say(pid)
+        with open(r, "rb") as fh:
+            data = fh.read()
+        _, status = os.waitpid(pid, 0)
+        try:
+            result = json.loads(data)
+        except ValueError:  # killed before it wrote
+            result = {}
+        result["exit"] = os.waitstatus_to_exitcode(status)
+        _say(result)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: python -m epsim.stub <specfile.json>", file=sys.stderr)
+    if argv != ["--serve"]:
+        print("usage: python -m epsim.stub --serve  (one JSON spec per line on stdin)", file=sys.stderr)
         return 2
-    with open(argv[0], encoding="utf-8") as fh:
-        spec = json.load(fh)
-    try:
-        bytes_read, bytes_written = run_phases(spec)
-    except StubFailure as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    print(json.dumps({"bytes_read": bytes_read, "bytes_written": bytes_written}))
+    serve()
     return 0
 
 

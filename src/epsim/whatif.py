@@ -28,14 +28,17 @@ class Scenario:
     compute_scale: float = 1.0
 
     def check(self) -> None:
+        # written as `not (finite and x >= low)`, since NaN fails every comparison
         for cat, s in self.speedup.items():
-            if s < 1:
-                raise InvalidScenario(f"speedup divisor for {cat.value} must be >= 1, got {s}")
+            if not (math.isfinite(s) and s >= 1):
+                raise InvalidScenario(f"speedup divisor for {cat.value} must be finite and >= 1, got {s}")
         for cat, f in self.energy_factor.items():
-            if f < 0:
-                raise InvalidScenario(f"energy factor for {cat.value} must be >= 0, got {f}")
-        if self.io_scale < 0 or self.compute_scale < 0:
-            raise InvalidScenario("io_scale and compute_scale must be >= 0")
+            if not (math.isfinite(f) and f >= 0):
+                raise InvalidScenario(f"energy factor for {cat.value} must be finite and >= 0, got {f}")
+        if not all(math.isfinite(x) and x >= 0 for x in (self.io_scale, self.compute_scale)):
+            raise InvalidScenario(
+                f"io_scale and compute_scale must be finite and >= 0, got ({self.io_scale}, {self.compute_scale})"
+            )
         if (self.n_prime is None) != (self.N_prime is None):
             raise InvalidScenario("n_prime and N_prime must be given together")
         if self.n_prime is not None and not (1 <= self.n_prime <= self.N_prime):

@@ -131,6 +131,18 @@ class TestWhatif:
         proc = run_cli("whatif", "--zero-category", "Nonsense")
         assert proc.returncode == 1
 
+    def test_nan_speedup_flag_is_an_input_error(self, capsys):
+        assert main(["whatif", "--speedup", "Forecast=nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: speedup divisor for Forecast must be finite and >= 1, got nan\n"
+        assert "nan s" not in captured.out
+
+    def test_nan_in_scenario_file_is_an_input_error(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        scenario.write_text('{"speedup": {"Forecast": NaN}}')  # Python's json reads NaN
+        assert main(["whatif", "--scenario", str(scenario)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestModelCommand:
     def test_rebuild_matches_bundled(self, tmp_path):

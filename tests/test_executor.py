@@ -1,8 +1,13 @@
 import ast
+import json
+import logging
 import os
 import random
 import signal
 import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -268,6 +273,154 @@ class TestStubProcess:
         assert proc.returncode == -signal.SIGKILL  # killed and reaped
         with pytest.raises(ProcessLookupError):
             os.kill(proc.pid, 0)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+INTERRUPTED_RUN = """
+import sys
+from epsim.executor import LocalProcessBackend, ScheduleDocument, ScheduledJob, execute
+from epsim.profiles import Phase, PhaseKind
+job = ScheduledJob(0, "spin", (), (Phase(PhaseKind.IO_WRITE, bytes=10), Phase(PhaseKind.COMPUTE, duration_s=30.0)))
+execute(ScheduleDocument((job,)), backend=LocalProcessBackend(desk_scale=1.0), workdir=sys.argv[1])
+"""
+
+
+def descendants(root: int) -> list[int]:
+    children: dict[int, list[int]] = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # the process ended while we looked
+            continue
+        children.setdefault(int(fields[1]), []).append(int(stat.parent.name))
+    found, stack = [], [root]
+    while stack:
+        for child in children.get(stack.pop(), []):
+            found.append(child)
+            stack.append(child)
+    return found
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every subprocess.Popen made during the test."""
+    made = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    return made
+
+
+class TestStubServer:
+    """One `stub.py --serve` process per worker slot forks one child per job."""
+
+    def test_serve_protocol_by_hand(self, tmp_path):
+        spec = stub_spec(sjob(0, write=700), tmp_path, 1.0, 30.0)
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", stub.__file__, "--serve"],
+            input=json.dumps(spec) + "\n",
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        pid, result = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert isinstance(pid, int)
+        assert result == {"bytes_read": 0, "bytes_written": 700, "exit": 0}
+        assert proc.returncode == 0
+
+    def test_one_server_per_slot_and_no_spec_files(self, tmp_path, spawned):
+        doc = doc_of([sjob(i, [i - 2] if i >= 2 else [], write=100) for i in range(20)])
+        log = execute(doc, backend=LocalProcessBackend(), workdir=tmp_path, parallelism=2, keep_scratch=True)
+        assert log.ok
+        assert 1 <= len(spawned) <= 2
+        assert all(p.returncode is not None for p in spawned)  # closed and reaped
+        assert {f.suffix for f in tmp_path.iterdir()} == {".out"}
+
+    def test_hung_job_pid_is_reaped_and_the_slot_runs_on(self, tmp_path, spawned, caplog):
+        caplog.set_level(logging.DEBUG, logger="epsim.executor")
+        with LocalProcessBackend(desk_scale=1.0) as backend:
+            backend.TIMEOUT_MARGIN_S = -1.5  # 2 s of compute against a 0.5 s timeout
+            hung = backend.run(sjob(0, compute=2.0), tmp_path)
+            backend.TIMEOUT_MARGIN_S = 30.0
+            after = backend.run(sjob(1, write=1000), tmp_path)
+            [server] = spawned  # the same server ran both jobs
+            assert server.poll() is None
+        assert hung.exit_code == LocalProcessBackend.TIMEOUT_EXIT
+        assert (after.exit_code, after.bytes_written) == (0, 1000)
+        pids = {r.args[0]: r.args[2] for r in caplog.records if r.msg == "stub job %d (%s) runs as pid %d"}
+        assert set(pids) == {0, 1} and server.pid not in pids.values()
+        for pid in pids.values():
+            with pytest.raises(ProcessLookupError):  # killed and reaped, not a zombie
+                os.kill(pid, 0)
+        assert server.returncode is not None
+
+    def test_failure_text_reaches_the_log(self, tmp_path, caplog):
+        doc = doc_of([sjob(0, metadata={"fail": True}, name="doomed")])
+        with caplog.at_level(logging.WARNING, logger="epsim.executor"):
+            log = execute(doc, backend=LocalProcessBackend(), workdir=tmp_path)
+        assert log.by_id()[0].exit_status == 1
+        assert "stub job 0 (doomed) failed: job doomed forced to fail" in caplog.messages
+
+    def test_close_racing_running_jobs_leaves_no_process(self, tmp_path, spawned, caplog):
+        # more slots than cores and a short switch interval, so that close()
+        # lands in every phase of run(): starting a server, awaiting a pid, a result
+        caplog.set_level(logging.DEBUG, logger="epsim.executor")
+        doc = doc_of([sjob(i, compute=0.05) for i in range(200)])
+        backend = LocalProcessBackend(desk_scale=1.0)
+        runner = threading.Thread(target=execute, args=(doc, backend, 6, tmp_path))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner.start()
+            time.sleep(0.3)
+            backend.close()
+            runner.join(timeout=20)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not runner.is_alive()
+        assert 1 <= len(spawned) <= 6
+        assert all(p.returncode is not None for p in spawned)
+        pids = [r.args[2] for r in caplog.records if r.msg == "stub job %d (%s) runs as pid %d"]
+        assert pids
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process tree from /proc")
+    def test_interrupt_leaves_no_process_behind(self, tmp_path):
+        runner = subprocess.Popen(
+            [sys.executable, "-c", INTERRUPTED_RUN, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        pids = []
+        try:
+            deadline = time.monotonic() + 30
+            while not (tmp_path / "j00000.out").exists():  # the job is running
+                assert time.monotonic() < deadline and runner.poll() is None
+                time.sleep(0.05)
+            pids = descendants(runner.pid)
+            assert pids
+            # to the runner alone, as a supervisor would send it; the job's
+            # spin lasts 30 s, so only the backend's close can end it sooner
+            os.kill(runner.pid, signal.SIGINT)
+            runner.wait(timeout=5)
+            for pid in pids:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+        finally:
+            for pid in [runner.pid, *pids]:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            runner.wait()
 
 
 def test_stub_spec_desk_scales_and_caps_compute(tmp_path):

@@ -63,6 +63,21 @@ class TestApplyScenario:
         with pytest.raises(InvalidScenario):
             apply_scenario(bundled_model, Scenario(energy_factor={JobCategory.OTHER: -1.0}))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: Scenario(speedup={JobCategory.FORECAST: x}),
+            lambda x: Scenario(energy_factor={JobCategory.FORECAST: x}),
+            lambda x: Scenario(io_scale=x),
+            lambda x: Scenario(compute_scale=x),
+        ],
+        ids=["speedup", "energy_factor", "io_scale", "compute_scale"],
+    )
+    def test_non_finite_values_rejected(self, make, bad):
+        with pytest.raises(InvalidScenario, match="finite"):
+            make(bad).check()
+
 
 class TestMaxSpeedup:
     def test_control_path_forecast(self, bundled_model):
