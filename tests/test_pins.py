@@ -19,22 +19,32 @@ from epsim.profiles import IoMode, merge_profiles, parse_io_profile, parse_mpi_p
 from epsim.simulate import events_csv, simulate, summary_json
 from epsim.whatif import Scenario, scenario_to_dict
 
-SIM_PINS = {  # (n_total, node_count) -> (events_csv, summary_json)
-    (22, None): (
+SIM_PINS = {  # (n_total, node_count, max_concurrent_jobs of both queues) -> (events_csv, summary_json)
+    (22, None, None): (
         "271d081b170adbd7111139c06d65c1000a26019af25f54080e90125d49651c65",
         "4e6e54a40130ad575e3cd996cdbee2d4c0eb2dbff18a4c5acd9683a31d9d1de2",
     ),
-    (22, 64): (
+    (22, 64, None): (
         "004bba906a1d56f79216900d91c1cfc8e2248f76f05cd0294d04e85a8559aadd",
         "ebfd50bc60d9c9b89d62fd07bcafd41e6da8ba192c0afd679513d9fd721d3cc6",
     ),
-    (100, None): (
+    (100, None, None): (
         "f87d9c28c708a654b6280b5fb0fe1d4cccb4106c4f1ac49cc0226986ecb4daf0",
         "b95f5ba4a64e205e6bc2602ccd9a3887d42f218ec8d382efa3ed9da6a55ab99c",
     ),
-    (100, 64): (
+    (100, 64, None): (
         "af50a6c3cc8240f3087d1da35486496ff02e8d7c51174c46fc317eb4ae2cd293",
         "09fb58f3bf769f1b853622106c2bad4614bdea1f11393e9518a0d54970e96416",
+    ),
+    # saturated clusters: classes miss at the head of a dispatch pass, and at
+    # 17 nodes (the widest instance's need) both queue limits bind as well
+    (100, 24, None): (
+        "0d532d86ce974fbdf397f0bc5a4ad72742b1c5ad154a768c295ec2601a035888",
+        "97c259801a107d313ba39beee934c713a092d658ad0e7b1234aa02d6444dfb02",
+    ),
+    (100, 17, 3): (
+        "427470b5ecc142ea330a4ccb7c3ca253e4893d7eb12d078a1b11d9e3af58486f",
+        "b20983791cb6a52bb84c9c7a9b17c29b81345ae05e815da1835ae5626d1462c2",
     ),
 }
 REPORT_JSON_PIN = "5aa61e580b6723352510b8f7bd4bc61b56c5f189fee3f3f16ba4bf9ebd835cea"
@@ -47,19 +57,25 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _simulated(n_total, node_count):
+def _simulated(n_total, node_count, queue_limit):
     model = load_bundled_model()
+    queues = {qid: replace(q, max_concurrent_jobs=queue_limit) for qid, q in model.cluster.queues.items()}
     model = replace(
         model.with_ensemble(EnsembleConfig(model.ensemble.n_control, n_total)),
-        cluster=replace(model.cluster, node_count=node_count),
+        cluster=replace(model.cluster, node_count=node_count, queues=queues),
     )
     result = simulate(expand_instances(model), model.cluster)
     return _sha256(events_csv(result)), _sha256(summary_json(result, model.cluster))
 
 
-@pytest.mark.parametrize("n_total,node_count", list(SIM_PINS))
-def test_simulation_outputs(n_total, node_count):
-    assert _simulated(n_total, node_count) == SIM_PINS[(n_total, node_count)]
+def _pin_id(key):
+    n_total, node_count, queue_limit = key
+    return f"{n_total}-{node_count}" + ("" if queue_limit is None else f"-limit{queue_limit}")
+
+
+@pytest.mark.parametrize("key", list(SIM_PINS), ids=_pin_id)
+def test_simulation_outputs(key):
+    assert _simulated(*key) == SIM_PINS[key]
 
 
 def test_report_json(capsys):
