@@ -129,6 +129,6 @@ def small_clusters(draw, max_nodes=2):
         cores_per_node=draw(st.integers(min_value=1, max_value=3)),
         queues={
             "np": QueueSpec(True, draw(st.sampled_from([None, 1, 2]))),
-            "ns": QueueSpec(False, None),
+            "ns": QueueSpec(False, draw(st.sampled_from([None, 1, 2]))),
         },
     )

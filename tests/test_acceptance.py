@@ -183,7 +183,9 @@ def test_property_suite(bundled_model, tmp_path):
         result = simulate(graph, cluster)
         cp_len, _ = critical_path(graph)
         assert result.makespan_s >= cp_len - 1e-9
-        assert result.makespan_s == pytest.approx(oracle_makespan(graph, cluster), rel=1e-9)
+        makespan, starts = oracle_makespan(graph, cluster)
+        assert result.makespan_s == pytest.approx(makespan, rel=1e-9)
+        assert result.start_times == starts
         replayed += 1
     assert replayed >= 200
 

@@ -43,7 +43,10 @@ def graph_of(nodes, edges=()):
 
 
 def oracle_makespan(graph, cluster):
-    """Time-stepping replay with an explicit node array; no heaps, no pools."""
+    """Time-stepping replay with an explicit node array; no heaps, no pools.
+
+    Returns the makespan and each instance's start time.
+    """
     cpn = cluster.cores_per_node
     if cluster.node_count is not None:
         n_nodes = cluster.node_count
@@ -57,7 +60,7 @@ def oracle_makespan(graph, cluster):
     queue_running = {}
     finish = {}
     running = []  # (end, iid, node_ids)
-    started = set()
+    started = {}
     t = 0.0
 
     def try_start_all():
@@ -99,7 +102,7 @@ def oracle_makespan(graph, cluster):
                 if ids is None:
                     continue
                 cores_used[ids[0]] += i.cores
-            started.add(iid)
+            started[iid] = t
             queue_running[i.queue] = queue_running.get(i.queue, 0) + 1
             running.append((t + i.duration_s, iid, tuple(ids)))
 
@@ -120,7 +123,7 @@ def oracle_makespan(graph, cluster):
         try_start_all()
     if len(finish) != len(graph):
         raise InfeasibleInstance("<oracle stuck>", -1, -1)
-    return max(finish.values(), default=0.0)
+    return max(finish.values(), default=0.0), started
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +284,16 @@ def _demand_fits(graph, cluster):
 def test_matches_bruteforce_replay_oracle(graph, cluster):
     assume(_demand_fits(graph, cluster))
     result = simulate(graph, cluster)
-    assert result.makespan_s == pytest.approx(oracle_makespan(graph, cluster), rel=1e-9)
+    assert result.makespan_s == pytest.approx(oracle_makespan(graph, cluster)[0], rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.instance_graphs(max_nodes=20), strategies.small_clusters(max_nodes=4))
+def test_start_times_match_bruteforce_replay_oracle(graph, cluster):
+    # the same schedule, not just the same makespan: an instance started out
+    # of (ready_time, id) order, or held back while it fits, moves a start
+    assume(_demand_fits(graph, cluster))
+    assert simulate(graph, cluster).start_times == oracle_makespan(graph, cluster)[1]
 
 
 @settings(max_examples=100, deadline=None)
