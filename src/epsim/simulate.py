@@ -4,6 +4,12 @@ Plain list scheduling: an instance becomes ready when all predecessors have
 finished, and ready instances are started greedily in (ready_time, id) order
 whenever node, core and queue capacity allow. Identical inputs always produce
 an identical event log.
+
+Ready instances wait in one heap per resource class, (queue, cores). Within a
+dispatch pass capacity only shrinks, so once a class's head does not fit,
+nothing behind it does either: a pass merges the class heads in (ready_time,
+id) order and drops each class at its first miss. It starts exactly the
+instances a scan of the whole ready list would, in the same order.
 """
 
 from __future__ import annotations
@@ -137,7 +143,10 @@ def simulate(graph: InstanceGraph, cluster: ClusterSpec) -> SimulationResult:
     before any event is produced.
     """
     queues = dict(cluster.queues)
+    classes: dict[tuple[str, int], list[tuple[float, str]]] = {}  # heaps of (ready_time, id)
+    class_of: dict[str, list[tuple[float, str]]] = {}
     for inst in graph.instances.values():
+        class_of[inst.id] = classes.setdefault((inst.queue, inst.cores), [])
         q = queues.setdefault(inst.queue, DEFAULT_QUEUE)
         if q.max_concurrent_jobs is not None and q.max_concurrent_jobs < 1:
             raise InvalidCluster(
@@ -153,7 +162,6 @@ def simulate(graph: InstanceGraph, cluster: ClusterSpec) -> SimulationResult:
     cp_len, cp_chain = critical_path(graph)  # raises CycleDetected
 
     pending_preds = {iid: len(p) for iid, p in graph.preds.items()}
-    ready: list[tuple[float, str]] = []  # (ready_time, id), sorted at each dispatch
     events: list[SimEvent] = []
     start_times: dict[str, float] = {}
     finish_times: dict[str, float] = {}
@@ -165,34 +173,39 @@ def simulate(graph: InstanceGraph, cluster: ClusterSpec) -> SimulationResult:
 
     def submit(iid: str, t: float) -> None:
         events.append(SimEvent(iid, EventKind.SUBMIT, t))
-        ready.append((t, iid))
+        heapq.heappush(class_of[iid], (t, iid))
 
     for iid in graph.ids():
         if not pending_preds[iid]:
             submit(iid, 0.0)
 
     def try_dispatch(now: float) -> None:
-        # greedy pass in (ready_time, id) order; instances that do not fit
-        # right now stay ready and are retried at the next event time
-        waiting: list[tuple[float, str]] = []
-        for item in sorted(ready):
-            iid = item[1]
-            inst = graph.instances[iid]
-            q = queues[inst.queue]
+        # greedy pass in (ready_time, id) order over the class heads; instances
+        # that do not fit right now stay ready and are retried at the next event
+        heads = [(h[0], key, h) for key, h in classes.items() if h]
+        heapq.heapify(heads)
+        while heads:
+            (_, iid), key, h = heads[0]
+            qid, cores = key
+            q = queues[qid]
             ids = None
-            if q.max_concurrent_jobs is None or queue_load[inst.queue] < q.max_concurrent_jobs:
-                ids = pool.place(inst.cores, q)
+            if q.max_concurrent_jobs is None or queue_load[qid] < q.max_concurrent_jobs:
+                ids = pool.place(cores, q)
             if ids is None:
-                waiting.append(item)
+                heapq.heappop(heads)
                 continue
+            heapq.heappop(h)
+            if h:
+                heapq.heapreplace(heads, (h[0], key, h))
+            else:
+                heapq.heappop(heads)
             placements[iid] = ids
-            queue_load[inst.queue] += 1
+            queue_load[qid] += 1
             start_times[iid] = now
-            fin = now + inst.duration_s
+            fin = now + graph.instances[iid].duration_s
             finish_times[iid] = fin
             events.append(SimEvent(iid, EventKind.START, now))
             heapq.heappush(running, (fin, iid))
-        ready[:] = waiting
 
     try_dispatch(0.0)
     while running:
