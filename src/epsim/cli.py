@@ -1,6 +1,7 @@
 """Command-line front end: ingest, model, report, simulate, whatif, schedule, execute.
 
-Exit codes: 0 success, 1 validation/run error, 2 usage error. All primary
+Exit codes: 0 success, 1 validation/run error, 2 usage error, 130 interrupted
+(Ctrl-C). All primary
 outputs are deterministic for identical inputs; logging goes to stderr.
 """
 
@@ -481,6 +482,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # `execute` has already killed and reaped its jobs
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -405,7 +405,8 @@ class LocalProcessBackend(_StubBackend):
             log.warning("stub job %d (%s) killed after %.1f s", job.job_id, job.name, timeout)
             return BackendResult(exit_code=self.TIMEOUT_EXIT)
         if msg["exit"] != 0:
-            log.warning("stub job %d (%s) failed: %s", job.job_id, job.name, msg.get("error", ""))
+            if not self._closed:  # else close() killed it, and the run is being torn down
+                log.warning("stub job %d (%s) failed: %s", job.job_id, job.name, msg.get("error", ""))
             return BackendResult(exit_code=msg["exit"])
         return BackendResult(0, int(msg["bytes_read"]), int(msg["bytes_written"]))
 

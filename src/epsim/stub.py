@@ -3,8 +3,9 @@
 The process backend starts this file once per worker slot as a stand-alone
 fork server, ``python -I -S <path>/stub.py --serve``: one bare interpreter
 that never imports the epsim package, which is why this module imports
-nothing but ``json``, ``os``, ``sys`` and ``time``. By hand:
-``echo '<spec>' | python -m epsim.stub --serve``.
+nothing but ``json``, ``os``, ``sys`` and ``time``. By hand, the same way:
+``echo '<spec>' | python -I -S src/epsim/stub.py --serve`` (``python -m
+epsim.stub`` would import the package, and so this module, first).
 
 The server reads one job spec per line on stdin, as JSON, with compute
 durations already desk-scaled by the backend. For each spec it forks a child
@@ -140,7 +141,7 @@ def serve() -> None:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv != ["--serve"]:
-        print("usage: python -m epsim.stub --serve  (one JSON spec per line on stdin)", file=sys.stderr)
+        print("usage: python -I -S stub.py --serve  (one JSON spec per line on stdin)", file=sys.stderr)
         return 2
     serve()
     return 0

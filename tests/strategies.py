@@ -93,8 +93,13 @@ def suite_models(draw, max_jobs=6):
 
 
 @st.composite
-def instance_graphs(draw, max_nodes=8, max_cores=4):
-    """Small standalone DAGs for simulator oracle checks."""
+def instance_graphs(draw, max_nodes=8, max_cores=4, max_preds=None):
+    """Small standalone DAGs for simulator oracle checks.
+
+    Each pair of instances is an edge (lower id first) with probability 1/2;
+    with max_preds, each instance instead draws at most that many
+    predecessors, which gives wide graphs whose ready instances contend.
+    """
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     instances = []
     for i in range(n):
@@ -115,9 +120,14 @@ def instance_graphs(draw, max_nodes=8, max_cores=4):
             )
         )
     edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if draw(st.booleans()):
+    if max_preds is None:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if draw(st.booleans()):
+                    edges.add((f"t{i:02d}", f"t{j:02d}"))
+    else:
+        for j in range(1, n):
+            for i in draw(st.sets(st.integers(0, j - 1), max_size=max_preds)):
                 edges.add((f"t{i:02d}", f"t{j:02d}"))
     return InstanceGraph(instances, edges)
 

@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -256,6 +258,31 @@ class TestPipeline:
                        "--workdir", str(tmp_path / "scratch"))
         assert proc.returncode == 1
         assert proc.stderr == "error: dependency cycle: 0 -> 1 -> 0\n"
+
+    def test_interrupt_is_one_line_and_exit_130(self, tmp_path):
+        kjs = tmp_path / "spin.kjs"
+        kjs.write_text(json.dumps({"jobs": [
+            {"job_id": 0, "name": "spin", "depends_on": [],
+             "phases": [{"kind": "io_write", "bytes": 10}, {"kind": "compute", "duration_s": 30.0}]},
+        ]}))
+        workdir = tmp_path / "scratch"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "epsim.cli", "execute", "--schedule", str(kjs),
+             "--desk-scale", "1", "--workdir", str(workdir)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not (workdir / "j00000.out").exists():  # the job is spinning
+                assert time.monotonic() < deadline and proc.poll() is None
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 130
+        assert stderr == "error: interrupted\n"
 
 
 TINY_KJS = {
