@@ -5,11 +5,10 @@ finished, and ready instances are started greedily in (ready_time, id) order
 whenever node, core and queue capacity allow. Identical inputs always produce
 an identical event log.
 
-Ready instances wait in one heap per resource class, (queue, cores). Within a
-dispatch pass capacity only shrinks, so once a class's head does not fit,
-nothing behind it does either: a pass merges the class heads in (ready_time,
-id) order and drops each class at its first miss. It starts exactly the
-instances a scan of the whole ready list would, in the same order.
+Ready instances wait in one heap per (queue, cores) class. Capacity only
+shrinks within a dispatch pass, so a pass merges the class heads and drops a
+class at its first miss: it starts what a scan of every ready instance would,
+in the same order.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import heapq
 import io
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .codec import dump_json
 from .errors import InfeasibleInstance, InvalidCluster
@@ -36,8 +36,7 @@ class EventKind(str, Enum):
 _KIND_ORDER = {EventKind.FINISH: 0, EventKind.SUBMIT: 1, EventKind.START: 2}
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):  # three per instance: builds ~10x faster than a frozen dataclass
     instance_id: str
     kind: EventKind
     time_s: float
@@ -277,8 +276,7 @@ def events_csv(result: SimulationResult) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["instance_id", "kind", "time_s"])
-    for e in result.events:
-        writer.writerow([e.instance_id, e.kind.value, repr(e.time_s)])
+    writer.writerows((e.instance_id, e.kind.value, repr(e.time_s)) for e in result.events)
     return buf.getvalue()
 
 
