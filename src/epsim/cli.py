@@ -1,8 +1,8 @@
 """Command-line front end: ingest, model, report, simulate, whatif, schedule, execute.
 
 Exit codes: 0 success, 1 validation/run error, 2 usage error, 130 interrupted
-(Ctrl-C). All primary
-outputs are deterministic for identical inputs; logging goes to stderr.
+(Ctrl-C). All primary outputs are deterministic for identical inputs; logging
+goes to stderr.
 """
 
 from __future__ import annotations
