@@ -49,6 +49,7 @@ SIM_PINS = {  # (n_total, node_count, max_concurrent_jobs of both queues) -> (ev
 }
 REPORT_JSON_PIN = "5aa61e580b6723352510b8f7bd4bc61b56c5f189fee3f3f16ba4bf9ebd835cea"
 KJS_PIN = "dec91604c115b7fdc2da0018a31958c8711b5b198b79188d62db99919e61514d"
+KJS_SCALED_PIN = "41b1226b5610be6dbc902bfd106e308b3925ccbacb7be8168edb0f5acf1c2219"
 KJP_PIN = "be20ee45720ddd2b4bdd884623a0407d2ae85e7bdfa98d9fee7038cd9f1d2d91"
 SCENARIO_PIN = "4ac5fcd330b818856e6549913f680575525391523523ed47ed7c1e54596c40d5"
 
@@ -134,3 +135,20 @@ def test_bundled_schedule(tmp_path):
     target = tmp_path / "suite.kjs"
     save_schedule(doc, target)
     assert _sha256(target.read_text(encoding="utf-8")) == KJS_PIN
+
+
+def test_bundled_schedule_scaled(tmp_path):
+    # roles and repetition from the bundled catalog, at N=22 with a scenario
+    # that scales every compute and I/O phase
+    catalog = {j.name: j for j in load_bundled_model().jobs}
+    doc = generate_schedule(
+        bundled_profiles(),
+        list(load_edges(edges_path())),
+        EnsembleConfig(2, 22),
+        Scenario(io_scale=0.1, compute_scale=2.0),
+        catalog=catalog,
+    )
+    assert len(doc.jobs) == 554
+    target = tmp_path / "suite.kjs"
+    save_schedule(doc, target)
+    assert _sha256(target.read_text(encoding="utf-8")) == KJS_SCALED_PIN
