@@ -15,6 +15,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import MISSING, fields
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, NoReturn, TypeVar
 
@@ -36,7 +37,8 @@ def _path_of(at) -> str:
     return f"{head}.{key}" if head else str(key)
 
 
-def _fail(at, expected: str, value) -> NoReturn:
+def fail(at, expected: str, value) -> NoReturn:
+    """Raise the reader error for `value` found at `at`."""
     shown = json.dumps(value, default=str)
     if len(shown) > 60:
         shown = shown[:57] + "..."
@@ -46,30 +48,30 @@ def _fail(at, expected: str, value) -> NoReturn:
 
 
 def obj(v, at) -> dict:
-    return v if isinstance(v, dict) else _fail(at, "object", v)
+    return v if isinstance(v, dict) else fail(at, "object", v)
 
 
 def seq(v, at) -> list | tuple:
-    return v if isinstance(v, (list, tuple)) else _fail(at, "array", v)
+    return v if isinstance(v, (list, tuple)) else fail(at, "array", v)
 
 
 def integer(v, at) -> int:
-    return v if type(v) is int else _fail(at, "integer", v)
+    return v if type(v) is int else fail(at, "integer", v)
 
 
 def number(v, at) -> float:
     # an integer beyond the float range would make float() raise OverflowError
     if type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max):
         return float(v)
-    _fail(at, "number", v)
+    fail(at, "number", v)
 
 
 def string(v, at) -> str:
-    return v if isinstance(v, str) else _fail(at, "string", v)
+    return v if isinstance(v, str) else fail(at, "string", v)
 
 
 def boolean(v, at) -> bool:
-    return v if v is True or v is False else _fail(at, "boolean", v)
+    return v if v is True or v is False else fail(at, "boolean", v)
 
 
 def enum_of(cls: type[E]) -> Reader[E]:
@@ -79,7 +81,7 @@ def enum_of(cls: type[E]) -> Reader[E]:
     def read(v, at) -> E:
         if isinstance(v, str) and v in members:
             return members[v]
-        return v if isinstance(v, cls) else _fail(at, expected, v)
+        return v if isinstance(v, cls) else fail(at, expected, v)
 
     return read
 
@@ -148,6 +150,83 @@ def load_json(path: str | Path, read: Reader[T]) -> T:
         raise SchemaError(f"{path}: {exc}") from None
 
 
+# ---------------------------------------------------------------------------
+# The writer: the bytes of json.dumps(doc, indent=2), which runs CPython's
+# pure-Python encoder whenever an indent is set. Each container is joined
+# into one string; exact scalar types are encoded inline through _SCALARS,
+# anything else goes through json.encoder's order of isinstance checks.
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x: float) -> str:
+    r = float.__repr__(x)
+    return _NON_FINITE.get(r, r)
+
+
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _key(k) -> str:
+    """An object key as json.dumps turns it into a string, before quoting."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float(k)
+    if k is True or k is False or k is None:
+        return _SCALARS[type(k)](k)
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _encode(o, nl: str, markers: set, _get=_SCALARS.get, _str=encode_basestring_ascii) -> str:
+    """`o` as indent-2 JSON; `nl` is a newline plus the indent of the line `o` starts on."""
+    # no type is both a container and a scalar, so containers may go first
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        mark = id(o)
+        if mark in markers:
+            raise ValueError("Circular reference detected")
+        markers.add(mark)
+        inner = nl + "  "
+        parts = [enc(v) if (enc := _get(type(v))) else _encode(v, inner, markers) for v in o]
+        markers.discard(mark)
+        return "[" + inner + ("," + inner).join(parts) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        mark = id(o)
+        if mark in markers:
+            raise ValueError("Circular reference detected")
+        markers.add(mark)
+        inner = nl + "  "
+        parts = [
+            (_str(k) if type(k) is str else _str(_key(k)))
+            + (": " + enc(v) if (enc := _get(type(v))) else ": " + _encode(v, inner, markers))
+            for k, v in o.items()
+        ]
+        markers.discard(mark)
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    enc = _get(type(o))
+    if enc is not None:
+        return enc(o)
+    if isinstance(o, str):
+        return _str(o)
+    if isinstance(o, int):  # IntEnum and other subclasses print as plain integers
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def dump_json(doc) -> str:
-    """The one document encoding: indent 2, a trailing newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    """The one document encoding: the text of json.dumps(doc, indent=2) and a trailing newline."""
+    return _encode(doc, "\n", set()) + "\n"

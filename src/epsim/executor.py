@@ -129,19 +129,23 @@ def generate_schedule(
     )
     graph = expand_instances(model)
 
+    # phases depend on the job name alone: scale each profile once, and let
+    # the name's jobs share the tuple (Phase is frozen)
+    phases_of = {
+        name: tuple(_scaled_phase(p, scenario.io_scale, scenario.compute_scale) for p in profile.phases)
+        for name, profile in by_name.items()
+    }
+    # job ids number the instance ids in sorted order, and each preds tuple
+    # is sorted, so every depends_on comes out sorted
     ids = {iid: k for k, iid in enumerate(graph.ids())}
     jobs = []
     for iid, inst in graph.instances.items():
-        phases = tuple(
-            _scaled_phase(p, scenario.io_scale, scenario.compute_scale)
-            for p in by_name[inst.job].phases
-        )
         jobs.append(
             ScheduledJob(
                 job_id=ids[iid],
                 name=inst.job,
-                depends_on=tuple(sorted(ids[p] for p in graph.preds[iid])),
-                phases=phases,
+                depends_on=tuple([ids[p] for p in graph.preds[iid]]),
+                phases=phases_of[inst.job],
                 metadata={"instance": iid, "member": inst.member, "slot": inst.slot},
             )
         )
@@ -560,19 +564,25 @@ def _cleanup_scratch(path: Path, doc: ScheduleDocument, created_tmp: bool) -> No
 
 
 def schedule_to_dict(doc: ScheduleDocument) -> dict:
-    return {
-        "created_from": list(doc.created_from),
-        "scale": {"io_scale": doc.io_scale, "compute_scale": doc.compute_scale},
-        "jobs": [
+    phase_lists: dict[int, list[dict]] = {}  # by id() of a phases tuple, which jobs of one name share
+    jobs = []
+    for j in doc.jobs:
+        phases = phase_lists.get(id(j.phases))
+        if phases is None:
+            phases = phase_lists[id(j.phases)] = [phase_to_dict(p) for p in j.phases]
+        jobs.append(
             {
                 "job_id": j.job_id,
                 "name": j.name,
                 "depends_on": list(j.depends_on),
-                "phases": [phase_to_dict(p) for p in j.phases],
+                "phases": phases,
                 "metadata": j.metadata,
             }
-            for j in doc.jobs
-        ],
+        )
+    return {
+        "created_from": list(doc.created_from),
+        "scale": {"io_scale": doc.io_scale, "compute_scale": doc.compute_scale},
+        "jobs": jobs,
     }
 
 

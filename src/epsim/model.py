@@ -13,13 +13,14 @@ from collections.abc import Iterable, Mapping, Sized
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .codec import (
     boolean,
     dict_of,
     dump_json,
     enum_of,
+    fail,
     integer,
     load_json,
     nullable,
@@ -349,6 +350,8 @@ def validate_suite(model: SuiteModel) -> ValidationReport:
                 f"{job.name}: wave_widths {list(rep.wave_widths)} do not partition "
                 f"{rep.instances} instances into {rep.waves} waves",
             )
+        elif min(rep.wave_widths) < 1:
+            report.error("InvalidRepetition", f"{job.name}: wave_widths {list(rep.wave_widths)} include an empty wave")
         if job.role is MemberRole.CONTROL_ONLY:
             if job.wallclock_pert_s != 0 or job.energy.per_perturbed_kj != 0 or job.energy.per_any_kj != 0:
                 report.error(
@@ -393,9 +396,8 @@ def ensure_valid(model: SuiteModel) -> SuiteModel:
 # Instance expansion
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One concrete (job, member, repetition) run."""
+class Instance(NamedTuple):
+    """One concrete (job, member, repetition) run; a tuple, cheap to build."""
 
     id: str
     job: str
@@ -416,13 +418,16 @@ class InstanceGraph:
         self.instances: dict[str, Instance] = {i.id: i for i in sorted(instances, key=lambda x: x.id)}
         preds: dict[str, list[str]] = {i: [] for i in self.instances}
         succs: dict[str, list[str]] = {i: [] for i in self.instances}
-        for src, dst in sorted(edges):
-            if src not in self.instances or dst not in self.instances:
-                raise SchemaError(f"edge ({src}, {dst}) references unknown instance")
-            preds[dst].append(src)
-            succs[src].append(dst)
-        self.preds = {k: tuple(v) for k, v in preds.items()}
-        self.succs = {k: tuple(v) for k, v in succs.items()}
+        try:
+            for src, dst in edges:
+                preds[dst].append(src)
+                succs[src].append(dst)
+        except KeyError:
+            src, dst = min(e for e in edges if e[0] not in preds or e[1] not in preds)
+            raise SchemaError(f"edge ({src}, {dst}) references unknown instance") from None
+        # each list sorted on its own: the order sorting every edge would give
+        self.preds = {k: tuple(sorted(v)) for k, v in preds.items()}
+        self.succs = {k: tuple(sorted(v)) for k, v in succs.items()}
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -515,13 +520,17 @@ _energy_from_dict = record(EnergyTerm, **{f.name: number for f in fields(EnergyT
 
 def _repetition_from_dict(raw, at) -> RepetitionSpec:
     o = obj(raw, at)
+    if "wave_widths" in o:
+        instances, waves = req(o, "instances", at, integer), req(o, "waves", at, integer)
+    else:
+        instances, waves = opt(o, "instances", at, integer, 1), opt(o, "waves", at, integer, 1)
+    if waves > instances:
+        # a wave runs at least one instance; this also keeps from_counts from
+        # building one width per wave of an unbounded count
+        fail((at, "waves"), f"at most instances ({instances})", waves)
     if "wave_widths" not in o:
-        return RepetitionSpec.from_counts(opt(o, "instances", at, integer, 1), opt(o, "waves", at, integer, 1))
-    return RepetitionSpec(
-        instances=req(o, "instances", at, integer),
-        waves=req(o, "waves", at, integer),
-        wave_widths=req(o, "wave_widths", at, tuple_of(integer)),
-    )
+        return RepetitionSpec.from_counts(instances, waves)
+    return RepetitionSpec(instances, waves, req(o, "wave_widths", at, tuple_of(integer)))
 
 
 def job_from_dict(raw, at="") -> JobProfile:

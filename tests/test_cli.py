@@ -303,6 +303,7 @@ MALFORMED = [
     ("model", ["jobs", 0, "energy"], [1, 2], "jobs[0].energy"),
     ("model", ["jobs", 0, "repetition", "wave_widths"], 5, "jobs[0].repetition.wave_widths"),
     ("model", ["jobs", 0, "cores_per_member"], None, "jobs[0].cores_per_member"),
+    ("model", ["jobs", 0, "repetition"], {"instances": 1, "waves": 2_000_000}, "jobs[0].repetition.waves"),
     ("model", ["jobs"], {"a": 1}, "jobs"),
     ("kjs", ["jobs", 0, "phases", 0, "duration_s"], "x", "jobs[0].phases[0].duration_s"),
     ("kjs", ["jobs", 1, "depends_on"], 5, "jobs[1].depends_on"),
@@ -335,5 +336,5 @@ def test_malformed_input_names_its_json_path(tmp_path, capsys, document, keys, v
     }[document]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{path}: {json_path}: expected " in err

@@ -2,12 +2,13 @@
 
 import copy
 import json
+from enum import IntEnum
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from epsim.codec import integer, load_json, number, record, string, tuple_of
+from epsim.codec import dump_json, integer, load_json, number, record, string, tuple_of
 from epsim.datafiles import edges_path, suite_model_path
 from epsim.errors import SchemaError, SuiteError
 from epsim.executor import generate_schedule, load_schedule, schedule_to_dict
@@ -145,3 +146,89 @@ def test_loaders_raise_only_suite_errors(tmp_path, document, steps):
         assert str(exc).startswith(f"{path}: ")
     except SuiteError:
         pass  # a semantic check, such as Scenario.check
+
+
+# ---------------------------------------------------------------------------
+# the writer: json.dumps(indent=2) is its oracle, on every kind of JSON value
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = -7
+
+
+class Ratio(float):
+    def __repr__(self):  # json.dumps ignores it, and so must dump_json
+        return "Ratio()"
+
+
+def _oracle(value) -> str:
+    return json.dumps(value, indent=2) + "\n"
+
+
+texts = st.text(st.characters(blacklist_categories=()))  # control, non-ASCII and lone surrogates
+numbers = st.one_of(
+    st.integers(),
+    st.floats(),  # NaN and ±Infinity included
+    st.sampled_from(list(Level) + [JobCategory.FORECAST]),  # IntEnum and str-Enum members
+    st.floats().map(Ratio),
+)
+leaves = st.one_of(st.none(), st.booleans(), numbers, texts, st.sampled_from([[], (), {}, [[]], {"": {}}]))
+keys = st.one_of(texts, st.integers(), st.floats(), st.booleans(), st.none(), st.sampled_from(list(Level)))
+json_values = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(keys, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=json_values)
+@example({float("nan"): 1, float("inf"): [], -float("inf"): {}, Ratio(0.5): (), Level.HIGH: None, False: 0})
+@example([float("nan"), Ratio(float("-inf")), Level.LOW, True, None, "\x00é\ud800", [(), [{}]]])
+def test_dump_json_writes_what_json_dumps_writes(value):
+    assert dump_json(value) == _oracle(value)
+
+
+def _circular_list():
+    a = [1]
+    a.append({"back": a})
+    return a
+
+
+def _circular_dict():
+    d = {"a": []}
+    d["a"].append(d)
+    return d
+
+
+@pytest.mark.parametrize("make", [_circular_list, _circular_dict])
+def test_dump_json_rejects_circular_containers(make):
+    with pytest.raises(ValueError) as expected:
+        _oracle(make())
+    with pytest.raises(ValueError) as got:
+        dump_json(make())
+    assert str(got.value) == str(expected.value) == "Circular reference detected"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [object(), {1, 2}, b"x", 1j, [1, {"a": (2, object())}], {(1, 2): 3}, {"k": {frozenset(): 1}}],
+    ids=["object", "set", "bytes", "complex", "nested-object", "tuple-key", "nested-frozenset-key"],
+)
+def test_dump_json_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError) as expected:
+        _oracle(value)
+    with pytest.raises(TypeError) as got:
+        dump_json(value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_a_shared_container_is_not_circular():
+    shared = [1, {"x": 2.5}]
+    value = {"a": shared, "b": [shared, shared]}
+    assert dump_json(value) == _oracle(value)

@@ -34,6 +34,7 @@ from epsim.executor import (
 from epsim.model import DependencyEdge, EnsembleConfig, load_edges
 from epsim.profiles import Phase, PhaseKind, UnifiedJobProfile
 from epsim.whatif import Scenario
+from test_pins import bundled_profiles
 
 FAST = InlineBackend(desk_scale=1e6)
 
@@ -80,6 +81,34 @@ class TestGenerateSchedule:
         write = next(p for p in doc.jobs[0].phases if p.kind is PhaseKind.IO_WRITE)
         assert write.bytes == 200
         assert doc.io_scale == 2.0
+
+    def test_scenario_scales_every_jobs_phases(self):
+        # the expected phases are worked out here from the profiles, apart
+        # from the executor's own scaling
+        profiles = bundled_profiles()
+        catalog = {j.name: j for j in load_bundled_model().jobs}
+        doc = generate_schedule(
+            profiles, list(load_edges(edges_path())), EnsembleConfig(2, 5),
+            Scenario(io_scale=0.1, compute_scale=2.0), catalog=catalog,
+        )
+        expected = {}
+        for prof in profiles:
+            phases = []
+            for p in prof.phases:
+                if p.kind is PhaseKind.COMPUTE:
+                    p = Phase(p.kind, p.duration_s * 2.0, p.bytes, p.ranks)
+                elif p.kind in (PhaseKind.IO_READ, PhaseKind.IO_WRITE):
+                    p = Phase(p.kind, p.duration_s, round(p.bytes * 0.1), p.ranks)
+                phases.append(p)
+            expected[prof.job] = tuple(phases)
+        assert any(p.bytes % 10 for prof in profiles for p in prof.phases)  # rounding is exercised
+        for job in doc.jobs:
+            assert job.phases == expected[job.name]
+            assert all(type(p.bytes) is int for p in job.phases)
+        for name in expected:
+            shared = {id(j.phases) for j in doc.jobs if j.name == name}
+            assert len(shared) == 1, name  # a name's jobs share one phases tuple
+        assert len(doc.jobs) > 2 * len(expected)
 
     def test_missing_profile(self):
         with pytest.raises(MissingProfile):

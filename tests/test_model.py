@@ -130,6 +130,12 @@ class TestValidation:
         report = validate_suite(make_model([job]))
         assert any(i.code == "InvalidRepetition" for i in report.errors)
 
+    @pytest.mark.parametrize("widths", [(1, 1, 0), (0, 2), (3, -1)])
+    def test_empty_waves_rejected(self, widths):
+        job = make_job("X", repetition=RepetitionSpec(sum(widths), len(widths), widths))
+        report = validate_suite(make_model([job]))
+        assert [i.code for i in report.errors] == ["InvalidRepetition"]
+
     def test_invalid_ensemble_rejected(self):
         report = validate_suite(make_model([], n=3, N=2))
         assert any(i.code == "InvalidEnsemble" for i in report.errors)
