@@ -524,9 +524,10 @@ def _repetition_from_dict(raw, at) -> RepetitionSpec:
         instances, waves = req(o, "instances", at, integer), req(o, "waves", at, integer)
     else:
         instances, waves = opt(o, "instances", at, integer, 1), opt(o, "waves", at, integer, 1)
-    if waves > instances:
+    if waves > max(instances, 1):
         # a wave runs at least one instance; this also keeps from_counts from
-        # building one width per wave of an unbounded count
+        # building one width per wave of an unbounded count (instances below
+        # 1 are left to validate_suite)
         fail((at, "waves"), f"at most instances ({instances})", waves)
     if "wave_widths" not in o:
         return RepetitionSpec.from_counts(instances, waves)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -354,6 +355,8 @@ def ingest_measurements(
                 value = float(raw)
             except ValueError:
                 raise SchemaError(f"{ctx}: column {column!r} is not a number: {raw!r}") from None
+            if not math.isfinite(value):  # int() of it would raise, and NaN passes every comparison
+                raise SchemaError(f"{ctx}: column {column!r} is not a finite number: {raw!r}")
             if value < 0:
                 raise NegativeValue(f"{ctx}: column {column!r} is negative: {raw}")
             return value
@@ -373,6 +376,11 @@ def ingest_measurements(
             applicable.append(wc_pert)
         low_confidence = any(0 < w < low_confidence_threshold_s for w in applicable)
 
+        instances = int(number("repeat_instances", default=1.0))
+        waves = int(number("repeat_waves", default=1.0))
+        if waves > max(instances, 1):  # as in a model file: a wave runs at least one instance
+            raise SchemaError(f"{ctx}: column 'repeat_waves' is {waves}, more than repeat_instances ({instances})")
+
         queue = rec["queue"].strip()
         if queue not in queues_seen:
             queues_seen.append(queue)
@@ -391,10 +399,7 @@ def ingest_measurements(
                     per_any_kj=number("c_per_any_kj", default=0.0),
                     fixed_kj=number("d_fixed_kj", default=0.0),
                 ),
-                repetition=RepetitionSpec.from_counts(
-                    int(number("repeat_instances", default=1.0)),
-                    int(number("repeat_waves", default=1.0)),
-                ),
+                repetition=RepetitionSpec.from_counts(instances, waves),
                 contaminated=contaminated_raw == "true",
                 low_confidence=low_confidence,
             )

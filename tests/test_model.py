@@ -4,13 +4,14 @@ from hypothesis import strategies as st
 
 import strategies
 
-from epsim.errors import CycleDetected, UnknownJob
+from epsim.errors import CycleDetected, SchemaError, UnknownJob
 from epsim.model import (
     ClusterSpec,
     DependencyEdge,
     EdgeScope,
     EnergyTerm,
     EnsembleConfig,
+    InstanceGraph,
     JobCategory,
     JobProfile,
     MemberRole,
@@ -151,6 +152,23 @@ class TestCategoryOf:
     def test_unknown_job_raises(self, bundled_model):
         with pytest.raises(UnknownJob):
             category_of("NoSuchJob", bundled_model)
+
+
+class TestInstanceGraph:
+    def test_adjacency_is_sorted_whatever_the_edge_order(self):
+        graph = expand_instances(make_model([make_job("A", repetition=RepetitionSpec(5, 3, (1, 2, 2)))]))
+        edges = [(p, i) for i, ps in graph.preds.items() for p in ps]
+        for order in (edges, edges[::-1], sorted(edges, key=lambda e: e[::-1])):
+            rebuilt = InstanceGraph(list(graph.instances.values()), order)
+            assert all(list(v) == sorted(v) for v in rebuilt.preds.values())
+            assert all(list(v) == sorted(v) for v in rebuilt.succs.values())
+            assert (rebuilt.preds, rebuilt.succs) == (graph.preds, graph.succs)
+
+    def test_unknown_endpoint_names_the_smallest_such_edge(self):
+        graph = expand_instances(make_model([make_job("A")], n=1, N=2))
+        a0, a1 = graph.ids()
+        with pytest.raises(SchemaError, match=r"^edge \(A:m000:i000, B\) references unknown instance$"):
+            InstanceGraph(list(graph.instances.values()), [(a1, "C"), ("Z", a0), (a0, "B")])
 
 
 class TestExpansion:

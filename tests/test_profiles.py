@@ -198,6 +198,17 @@ class TestIngestMeasurements:
         with pytest.raises(NegativeValue):
             ingest_measurements(write(tmp_path, "t.csv", text))
 
+    def test_more_waves_than_instances_rejected(self, tmp_path):
+        text = measurements_path().read_text().replace("All,13,4,false", "All,13,2000000,false")
+        with pytest.raises(SchemaError, match=r"t\.csv:4: column 'repeat_waves' is 2000000, more than repeat_instances \(13\)$"):
+            ingest_measurements(write(tmp_path, "t.csv", text))
+
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        text = measurements_path().read_text().replace("All,13,4,false", f"All,{cell},4,false")
+        with pytest.raises(SchemaError, match=f"t\\.csv:4: column 'repeat_instances' is not a finite number: '{cell}'$"):
+            ingest_measurements(write(tmp_path, "t.csv", text))
+
     def test_wrong_header_rejected(self, tmp_path):
         text = measurements_path().read_text().replace("job,stage", "stage,job")
         with pytest.raises(SchemaError):
