@@ -59,21 +59,24 @@ from .whatif import Scenario, apply_scenario, energy_savings, load_scenario, max
 log = logging.getLogger(__name__)
 
 
-def _ensemble_override(model, args):
-    n = getattr(args, "n_control", None)
-    N = getattr(args, "n_total", None)
-    if n is None and N is None:
-        return model
-    cfg = EnsembleConfig(
-        n_control=n if n is not None else model.ensemble.n_control,
-        n_total=N if N is not None else model.ensemble.n_total,
+def _ensemble(args, default: EnsembleConfig) -> EnsembleConfig:
+    """`-n/-N` over `default`; a flag left out keeps the default's count."""
+    return EnsembleConfig(
+        default.n_control if args.n_control is None else args.n_control,
+        default.n_total if args.n_total is None else args.n_total,
     )
-    return model.with_ensemble(cfg)
 
 
 def _load_model(args):
+    """`--model` with `-n/-N` and `simulate --nodes` applied, then validated."""
     model = load_suite_model(args.model)
-    model = _ensemble_override(model, args)
+    model = model.with_ensemble(_ensemble(args, model.ensemble))
+    nodes = getattr(args, "nodes", None)
+    if nodes is not None:
+        if nodes != "unlimited" and not nodes.isdecimal():  # isdigit() passes "²", which int() rejects
+            raise SuiteError(f"--nodes takes a count or 'unlimited', got {nodes!r}")
+        node_count = None if nodes == "unlimited" else int(nodes)
+        model = replace(model, cluster=replace(model.cluster, node_count=node_count))
     report = validate_suite(model)
     for issue in report.warnings:
         log.info("warning [%s] %s", issue.code, issue.message)
@@ -139,16 +142,10 @@ def cmd_model(args) -> int:
     cluster = None
     if args.cluster:
         cluster = load_json(args.cluster, cluster_from_dict)
-    ensemble = None
-    if args.n_control is not None or args.n_total is not None:
-        ensemble = EnsembleConfig(
-            args.n_control if args.n_control is not None else 2,
-            args.n_total if args.n_total is not None else 22,
-        )
     model = ingest_measurements(
         args.measurements,
         low_confidence_threshold_s=args.low_confidence_threshold,
-        ensemble=ensemble,
+        ensemble=_ensemble(args, EnsembleConfig(2, 22)),
         cluster=cluster,
     )
     model = replace(model, edges=load_edges(args.edges))
@@ -234,11 +231,6 @@ def cmd_report(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = _load_model(args)
-    if args.nodes is not None:
-        if args.nodes != "unlimited" and not args.nodes.isdigit():
-            raise SuiteError(f"--nodes takes a count or 'unlimited', got {args.nodes!r}")
-        node_count = None if args.nodes == "unlimited" else int(args.nodes)
-        model = replace(model, cluster=replace(model.cluster, node_count=node_count))
     graph = expand_instances(model)
     result = simulate(graph, model.cluster)
     per_node, aggregate = utilization(result, model.cluster)
@@ -274,18 +266,16 @@ def cmd_whatif(args) -> int:
         print(f"energy ceiling: {saved:.1f} kJ savable = {fraction:.1%} of the suite total")
         return 0
 
+    scenario = Scenario(
+        n_prime=args.n_prime,
+        N_prime=args.N_prime,
+        speedup=_parse_cat_map(args.speedup, "speedup"),
+        energy_factor=_parse_cat_map(args.energy_factor, "energy-factor"),
+    )
     if args.scenario:
+        if scenario != Scenario():
+            raise SuiteError("--scenario does not combine with --n-prime, --N-prime, --speedup or --energy-factor")
         scenario = load_scenario(args.scenario)
-    else:
-        scenario = Scenario(
-            n_prime=args.n_prime,
-            N_prime=args.N_prime,
-            speedup=_parse_cat_map(args.speedup, "speedup"),
-            energy_factor=_parse_cat_map(args.energy_factor, "energy-factor"),
-            io_scale=args.io_scale,
-            compute_scale=args.compute_scale,
-        )
-        scenario.check()
     before_total = suite_total(model)
     after = apply_scenario(model, scenario)
     after_total = suite_total(after)
@@ -313,13 +303,8 @@ def cmd_schedule(args) -> int:
         raise SuiteError("no .kjp profiles given")
     profiles = [load_profile(p) for p in profile_paths]
     edges = list(load_edges(args.edges))
-    catalog = None
-    if args.model:
-        catalog = {j.name: j for j in load_suite_model(args.model).jobs}
-    cfg = EnsembleConfig(
-        args.n_control if args.n_control is not None else 1,
-        args.n_total if args.n_total is not None else 1,
-    )
+    catalog = {j.name: j for j in _load_model(args).jobs} if args.model else None
+    cfg = _ensemble(args, EnsembleConfig(1, 1))
     scenario = Scenario(io_scale=args.io_scale, compute_scale=args.compute_scale)
     doc = generate_schedule(profiles, edges, cfg, scenario, catalog=catalog)
     save_schedule(doc, args.output)
@@ -432,8 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N-prime", dest="N_prime", type=int, default=None, help="scenario total member count")
     p.add_argument("--speedup", action="append", metavar="CATEGORY=DIVISOR", help="wall-clock divisor")
     p.add_argument("--energy-factor", action="append", metavar="CATEGORY=FACTOR", help="energy multiplier")
-    p.add_argument("--io-scale", type=float, default=1.0)
-    p.add_argument("--compute-scale", type=float, default=1.0)
     p.add_argument("--zero-category", default=None, metavar="CATEGORY", help="report the limiting speedup")
     p.add_argument("--path", choices=["control", "perturbed", "both"], default="both")
     p.set_defaults(func=cmd_whatif)

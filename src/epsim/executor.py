@@ -31,6 +31,7 @@ from .errors import (
     InvalidScale,
     MissingProfile,
     SchemaError,
+    SuiteError,
     WorkdirUnwritable,
 )
 from .model import (
@@ -95,6 +96,8 @@ def generate_schedule(
     """
     scenario = scenario or Scenario()
     scenario.check()
+    if not cfg.is_valid():
+        raise SuiteError(f"need 1 <= n_control <= n_total, got ({cfg.n_control}, {cfg.n_total})")
     by_name = {p.job: p for p in profiles}
     for e in edges:
         for endpoint in (e.from_job, e.to_job):
@@ -474,7 +477,7 @@ def execute(
     of failed jobs are marked skipped. Up to `parallelism` jobs run at once.
     """
     if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
+        raise SuiteError("parallelism must be >= 1")
     succs = _dependents(doc)
     jobs = {j.job_id: j for j in doc.jobs}
     topological_order({i: j.depends_on for i, j in jobs.items()}, succs)  # acyclicity guard

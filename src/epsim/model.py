@@ -159,11 +159,7 @@ class EnsembleConfig:
         return 1 <= self.n_control <= self.n_total
 
     def multiplier(self, role: MemberRole) -> int:
-        if role is MemberRole.CONTROL_ONLY:
-            return self.n_control
-        if role is MemberRole.PERTURBED_ONLY:
-            return self.n_total - self.n_control
-        return self.n_total
+        return len(self.members_for(role))
 
     def members_for(self, role: MemberRole) -> range:
         """Member indices a role expands to; 0..n_control-1 are control."""
@@ -359,10 +355,10 @@ def validate_suite(model: SuiteModel) -> ValidationReport:
                     f"{job.name}: ControlOnly jobs must have zero perturbed wall-clock, b and c",
                 )
         if job.role is MemberRole.PERTURBED_ONLY:
-            if job.wallclock_ctrl_s != 0 or job.energy.per_control_kj != 0:
+            if job.wallclock_ctrl_s != 0 or job.energy.per_control_kj != 0 or job.energy.per_any_kj != 0:
                 report.error(
                     "RoleEnergyMismatch",
-                    f"{job.name}: PerturbedOnly jobs must have zero control wall-clock and a",
+                    f"{job.name}: PerturbedOnly jobs must have zero control wall-clock, a and c",
                 )
         if job.queue not in cl.queues:
             report.error("UnknownQueue", f"{job.name}: queue {job.queue!r} not in cluster.queues")
@@ -524,11 +520,11 @@ def _repetition_from_dict(raw, at) -> RepetitionSpec:
         instances, waves = req(o, "instances", at, integer), req(o, "waves", at, integer)
     else:
         instances, waves = opt(o, "instances", at, integer, 1), opt(o, "waves", at, integer, 1)
-    if waves > max(instances, 1):
+    if not 1 <= waves <= max(instances, 1):
         # a wave runs at least one instance; this also keeps from_counts from
         # building one width per wave of an unbounded count (instances below
         # 1 are left to validate_suite)
-        fail((at, "waves"), f"at most instances ({instances})", waves)
+        fail((at, "waves"), f"1 to instances ({instances})", waves)
     if "wave_widths" not in o:
         return RepetitionSpec.from_counts(instances, waves)
     return RepetitionSpec(instances, waves, req(o, "wave_widths", at, tuple_of(integer)))

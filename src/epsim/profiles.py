@@ -114,7 +114,13 @@ class UnifiedJobProfile:
 # key=value parsers
 
 
-def _parse_kv_file(path: str | Path, marker: str) -> dict[str, str]:
+def _parse_profile(path: str | Path, marker: str, required: tuple[str, ...]) -> tuple[str, dict[str, float]]:
+    """The job name and numeric metrics of a key=value profile.
+
+    Checks, in this order: the format marker and line syntax, the `job` key,
+    that every other value is a number, `wallclock_s` and the `required`
+    keys, and `wallclock_s > 0`.
+    """
     text = Path(path).read_text(encoding="utf-8")
     pairs: dict[str, str] = {}
     saw_marker = False
@@ -134,53 +140,34 @@ def _parse_kv_file(path: str | Path, marker: str) -> dict[str, str]:
         pairs[key.strip()] = value.strip()
     if not saw_marker:
         raise FormatError(f"empty input, expected format marker {marker!r}", path=path, line=max(lineno, 1))
-    return pairs
-
-
-def _numeric_metrics(pairs: dict[str, str], path: str | Path) -> dict[str, float]:
+    job = pairs.pop("job", None)
+    if job is None:
+        raise MissingKey("job", path=path)
     metrics = {}
     for key, value in pairs.items():
-        if key == "job":
-            continue
         try:
             metrics[key] = float(value)
         except ValueError:
             raise FormatError(f"value for {key!r} is not a number: {value!r}", path=path) from None
-    return metrics
+    for key in ("wallclock_s", *required):
+        if key not in metrics:
+            raise MissingKey(key, path=path)
+    if metrics["wallclock_s"] <= 0:
+        raise FormatError("wallclock_s must be > 0", path=path)
+    return job, metrics
 
 
 def parse_mpi_profile(path: str | Path) -> RawProfileRecord:
     """Parse an ``mpiprof v1`` file; wallclock_s, mpi_time_s and ranks are mandatory."""
-    pairs = _parse_kv_file(path, "mpiprof v1")
-    if "job" not in pairs:
-        raise MissingKey("job", path=path)
-    metrics = _numeric_metrics(pairs, path)
-    for key in ("wallclock_s", "mpi_time_s", "ranks"):
-        if key not in metrics:
-            raise MissingKey(key, path=path)
-    if metrics["wallclock_s"] <= 0:
-        raise FormatError("wallclock_s must be > 0", path=path)
+    job, metrics = _parse_profile(path, "mpiprof v1", ("mpi_time_s", "ranks"))
     if metrics["ranks"] < 1:
         raise FormatError("ranks must be >= 1", path=path)
-    return RawProfileRecord(
-        job=pairs["job"],
-        source=ProfileSource.MPI_PROFILE,
-        metrics=metrics,
-        source_file=str(path),
-    )
+    return RawProfileRecord(job=job, source=ProfileSource.MPI_PROFILE, metrics=metrics, source_file=str(path))
 
 
 def parse_io_profile(path: str | Path, mode: IoMode) -> RawProfileRecord:
     """Parse an ``ioprof v1`` file; Single mode forces ranks=1."""
-    pairs = _parse_kv_file(path, "ioprof v1")
-    if "job" not in pairs:
-        raise MissingKey("job", path=path)
-    metrics = _numeric_metrics(pairs, path)
-    for key in ("wallclock_s", "read_bytes", "write_bytes", "file_opens"):
-        if key not in metrics:
-            raise MissingKey(key, path=path)
-    if metrics["wallclock_s"] <= 0:
-        raise FormatError("wallclock_s must be > 0", path=path)
+    job, metrics = _parse_profile(path, "ioprof v1", ("read_bytes", "write_bytes", "file_opens"))
     for key in ("read_bytes", "write_bytes", "file_opens"):
         if metrics[key] < 0:
             raise FormatError(f"{key} must be >= 0", path=path)
@@ -197,9 +184,7 @@ def parse_io_profile(path: str | Path, mode: IoMode) -> RawProfileRecord:
         if metrics["ranks"] < 1:
             raise FormatError("ranks must be >= 1", path=path)
         source = ProfileSource.IO_PROFILE_PARALLEL
-    return RawProfileRecord(
-        job=pairs["job"], source=source, metrics=metrics, source_file=str(path)
-    )
+    return RawProfileRecord(job=job, source=source, metrics=metrics, source_file=str(path))
 
 
 def merge_profiles(records: list[RawProfileRecord]) -> UnifiedJobProfile:
@@ -378,6 +363,8 @@ def ingest_measurements(
 
         instances = int(number("repeat_instances", default=1.0))
         waves = int(number("repeat_waves", default=1.0))
+        if waves < 1:
+            raise SchemaError(f"{ctx}: column 'repeat_waves' is {waves}, less than 1")
         if waves > max(instances, 1):  # as in a model file: a wave runs at least one instance
             raise SchemaError(f"{ctx}: column 'repeat_waves' is {waves}, more than repeat_instances ({instances})")
 

@@ -63,7 +63,7 @@ def critical_path(graph: InstanceGraph) -> tuple[float, list[str]]:
     for node in order:
         best, pick = 0.0, None
         for p in graph.preds[node]:
-            if dist[p] > best or (dist[p] == best and pick is not None and p < pick):
+            if dist[p] > best:  # preds are sorted, so a tie keeps the smaller id
                 best, pick = dist[p], p
         dist[node] = graph.instances[node].duration_s + best
         best_pred[node] = pick

@@ -43,7 +43,7 @@ def job_profiles(draw, name):
         term = EnergyTerm(term.per_control_kj, 0.0, 0.0, term.fixed_kj)
         wc_pert = 0.0
     elif role is MemberRole.PERTURBED_ONLY:
-        term = EnergyTerm(0.0, term.per_perturbed_kj, term.per_any_kj, term.fixed_kj)
+        term = EnergyTerm(0.0, term.per_perturbed_kj, 0.0, term.fixed_kj)
         wc_ctrl = 0.0
     instances = draw(st.integers(min_value=1, max_value=6))
     waves = draw(st.integers(min_value=1, max_value=instances))

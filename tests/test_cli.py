@@ -108,6 +108,16 @@ class TestSimulate:
         proc = run_cli("simulate", "--nodes", "many")
         assert proc.returncode == 1
 
+    def test_superscript_nodes_value_is_an_input_error(self, capsys):
+        assert main(["simulate", "--nodes", "²"]) == 1
+        assert capsys.readouterr().err == "error: --nodes takes a count or 'unlimited', got '²'\n"
+
+    def test_zero_nodes_is_invalid_cluster(self, capsys):
+        assert main(["simulate", "--nodes", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "error [InvalidCluster] node_count must be >= 1 or null, got 0\n" in err
+        assert "demands" not in err
+
 
 class TestWhatif:
     def test_zero_category_control_path(self):
@@ -138,6 +148,24 @@ class TestWhatif:
         captured = capsys.readouterr()
         assert captured.err == "error: speedup divisor for Forecast must be finite and >= 1, got nan\n"
         assert "nan s" not in captured.out
+
+    @pytest.mark.parametrize("flag", ["--io-scale", "--compute-scale"])
+    def test_scale_flags_are_not_options(self, flag):
+        # apply_scenario reads neither scale; `schedule` is where they act
+        assert run_cli("whatif", flag, "2").returncode == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--speedup", "Forecast=2"], ["--energy-factor", "Forecast=0.5"], ["--n-prime", "2", "--N-prime", "42"]],
+        ids=["speedup", "energy-factor", "members"],
+    )
+    def test_scenario_file_does_not_combine_with_flags(self, tmp_path, capsys, flags):
+        scenario = tmp_path / "s.json"
+        scenario.write_text("{}")
+        assert main(["whatif", "--scenario", str(scenario), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --scenario") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_nan_in_scenario_file_is_an_input_error(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"
@@ -229,6 +257,30 @@ class TestPipeline:
         logged = json.loads(logfile.read_text())
         assert len(logged["jobs"]) == 16
 
+    @pytest.mark.parametrize("n,N", [("5", "2"), ("0", "0")])
+    @pytest.mark.parametrize("with_model", [False, True], ids=["profiles", "model"])
+    def test_schedule_invalid_ensemble_writes_nothing(self, tmp_path, capsys, with_model, n, N):
+        kjp_dir = tmp_path / "kjp"
+        assert main(["ingest", *sorted(str(p) for p in profiles_dir().iterdir()), "-o", str(kjp_dir)]) == 0
+        capsys.readouterr()
+        kjs = tmp_path / "suite.kjs"
+        model = ["--model", str(suite_model_path())] if with_model else []
+        assert main(["schedule", "--profiles", str(kjp_dir), *model, "-n", n, "-N", N, "-o", str(kjs)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {suite_model_path()}: model failed validation" if with_model
+            else f"error: need 1 <= n_control <= n_total, got ({n}, {N})"
+        ]
+        assert ("error [InvalidEnsemble]" in err) == with_model
+        assert not kjs.exists()
+
+    def test_execute_parallelism_below_one_is_an_input_error(self, tmp_path, capsys):
+        kjs = tmp_path / "tiny.kjs"
+        kjs.write_text(json.dumps(TINY_KJS))
+        argv = ["execute", "--schedule", str(kjs), "--inline", "--parallelism", "0", "--workdir", str(tmp_path / "w")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: parallelism must be >= 1\n"
+
     def test_execute_failure_exit_code(self, tmp_path):
         kjs = tmp_path / "f.kjs"
         kjs.write_text(json.dumps({
@@ -304,6 +356,8 @@ MALFORMED = [
     ("model", ["jobs", 0, "repetition", "wave_widths"], 5, "jobs[0].repetition.wave_widths"),
     ("model", ["jobs", 0, "cores_per_member"], None, "jobs[0].cores_per_member"),
     ("model", ["jobs", 0, "repetition"], {"instances": 1, "waves": 2_000_000}, "jobs[0].repetition.waves"),
+    ("model", ["jobs", 1, "repetition"], {"instances": 5, "waves": 0}, "jobs[1].repetition.waves"),
+    ("model", ["jobs", 2, "repetition"], {"instances": 5, "waves": -3}, "jobs[2].repetition.waves"),
     ("model", ["jobs"], {"a": 1}, "jobs"),
     ("kjs", ["jobs", 0, "phases", 0, "duration_s"], "x", "jobs[0].phases[0].duration_s"),
     ("kjs", ["jobs", 1, "depends_on"], 5, "jobs[1].depends_on"),

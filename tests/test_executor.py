@@ -15,7 +15,7 @@ import pytest
 from epsim import stub
 
 from epsim.datafiles import edges_path, load_bundled_model
-from epsim.errors import CycleDetected, InvalidScale, MissingProfile, SchemaError
+from epsim.errors import CycleDetected, InvalidScale, MissingProfile, SchemaError, SuiteError
 from epsim.executor import (
     InlineBackend,
     LocalProcessBackend,
@@ -119,6 +119,11 @@ class TestGenerateSchedule:
         edges = [DependencyEdge("A", "B"), DependencyEdge("B", "A")]
         with pytest.raises(CycleDetected):
             generate_schedule(profiles, edges, EnsembleConfig(1, 1))
+
+    @pytest.mark.parametrize("n,N", [(5, 2), (0, 0)])
+    def test_invalid_ensemble_rejected(self, n, N):
+        with pytest.raises(SuiteError, match=rf"^need 1 <= n_control <= n_total, got \({n}, {N}\)$"):
+            generate_schedule([profile("A")], [], EnsembleConfig(n, N))
 
     def test_member_expansion(self):
         doc = generate_schedule([profile("A")], [], EnsembleConfig(1, 3))

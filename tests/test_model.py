@@ -121,6 +121,18 @@ class TestValidation:
         report = validate_suite(make_model([job]))
         assert any(i.code == "RoleEnergyMismatch" for i in report.errors)
 
+    def test_perturbed_only_any_member_energy_is_a_mismatch(self):
+        # c is paid per member, but the job never runs on a control member
+        job = JobProfile(
+            name="X", category=JobCategory.OTHER, role=MemberRole.PERTURBED_ONLY,
+            queue="np", cores_per_member=1, wallclock_ctrl_s=0.0, wallclock_pert_s=5.0,
+            energy=EnergyTerm(per_perturbed_kj=1.0, per_any_kj=10.0),
+        )
+        report = validate_suite(make_model([job]))
+        assert [(i.code, i.message) for i in report.errors] == [
+            ("RoleEnergyMismatch", "X: PerturbedOnly jobs must have zero control wall-clock, a and c")
+        ]
+
     def test_contaminated_and_low_confidence_are_warnings(self, bundled_model):
         report = validate_suite(bundled_model)
         codes = {i.code for i in report.warnings}
@@ -240,8 +252,11 @@ def test_instance_counts_follow_role_multiplier(model):
     counts = {}
     for iid in graph.ids():
         counts[graph.instances[iid].job] = counts.get(graph.instances[iid].job, 0) + 1
+    n, N = model.ensemble.n_control, model.ensemble.n_total
+    members = {MemberRole.ALL: N, MemberRole.CONTROL_ONLY: n, MemberRole.PERTURBED_ONLY: N - n}
     for job in model.jobs:
-        expected = model.ensemble.multiplier(job.role) * job.repetition.instances
+        assert model.ensemble.multiplier(job.role) == members[job.role]
+        expected = members[job.role] * job.repetition.instances
         assert counts.get(job.name, 0) == expected
 
 

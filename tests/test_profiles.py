@@ -203,6 +203,12 @@ class TestIngestMeasurements:
         with pytest.raises(SchemaError, match=r"t\.csv:4: column 'repeat_waves' is 2000000, more than repeat_instances \(13\)$"):
             ingest_measurements(write(tmp_path, "t.csv", text))
 
+    @pytest.mark.parametrize("cell", ["0", "0.5"])
+    def test_waves_below_one_rejected(self, tmp_path, cell):
+        text = measurements_path().read_text().replace("All,13,4,false", f"All,13,{cell},false")
+        with pytest.raises(SchemaError, match=r"t\.csv:4: column 'repeat_waves' is 0, less than 1$"):
+            ingest_measurements(write(tmp_path, "t.csv", text))
+
     @pytest.mark.parametrize("cell", ["inf", "nan"])
     def test_non_finite_cell_rejected(self, tmp_path, cell):
         text = measurements_path().read_text().replace("All,13,4,false", f"All,{cell},4,false")
