@@ -250,12 +250,27 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_whatif(args) -> int:
+    scenario = Scenario(
+        n_prime=args.n_prime,
+        N_prime=args.N_prime,
+        speedup=_parse_cat_map(args.speedup, "speedup"),
+        energy_factor=_parse_cat_map(args.energy_factor, "energy-factor"),
+    )
+    flags = "--n-prime, --N-prime, --speedup or --energy-factor"
+    if args.zero_category is not None and (args.scenario is not None or scenario != Scenario()):
+        raise SuiteError(f"--zero-category does not combine with --scenario, {flags}")
+    if args.path is not None and args.zero_category is None:
+        raise SuiteError("--path applies only with --zero-category")
+    if args.scenario is not None:
+        if scenario != Scenario():
+            raise SuiteError(f"--scenario does not combine with {flags}")
+        scenario = load_scenario(args.scenario)
     model = _load_model(args)
-    if args.zero_category:
+    if args.zero_category is not None:
         category = _category(args.zero_category, "--zero-category")
         paths = (
             [MemberPath.CONTROL, MemberPath.PERTURBED]
-            if args.path == "both"
+            if args.path in (None, "both")
             else [MemberPath(args.path)]
         )
         for path in paths:
@@ -266,16 +281,6 @@ def cmd_whatif(args) -> int:
         print(f"energy ceiling: {saved:.1f} kJ savable = {fraction:.1%} of the suite total")
         return 0
 
-    scenario = Scenario(
-        n_prime=args.n_prime,
-        N_prime=args.N_prime,
-        speedup=_parse_cat_map(args.speedup, "speedup"),
-        energy_factor=_parse_cat_map(args.energy_factor, "energy-factor"),
-    )
-    if args.scenario:
-        if scenario != Scenario():
-            raise SuiteError("--scenario does not combine with --n-prime, --N-prime, --speedup or --energy-factor")
-        scenario = load_scenario(args.scenario)
     before_total = suite_total(model)
     after = apply_scenario(model, scenario)
     after_total = suite_total(after)
@@ -418,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speedup", action="append", metavar="CATEGORY=DIVISOR", help="wall-clock divisor")
     p.add_argument("--energy-factor", action="append", metavar="CATEGORY=FACTOR", help="energy multiplier")
     p.add_argument("--zero-category", default=None, metavar="CATEGORY", help="report the limiting speedup")
-    p.add_argument("--path", choices=["control", "perturbed", "both"], default="both")
+    p.add_argument("--path", choices=["control", "perturbed", "both"], default=None)
     p.set_defaults(func=cmd_whatif)
 
     p = sub.add_parser("schedule", help="generate a synthetic schedule (.kjs) from .kjp profiles")

@@ -6,6 +6,13 @@ is a label string ("" at a document root) or a (parent location, key) pair;
 the path text is built only when an error is raised, so reading a large
 document formats nothing. Integer fields take JSON integers only, number
 fields take integers and floats, and true/false are never numbers.
+
+The writer, dump_json, memoizes arrays by (id, indent) within one call: an
+array met a second time at the same indent keeps its text, and from then on
+that text is reused, so a list shared by many entries (a .kjs job name's
+phases) is encoded twice rather than once per entry. An array met once
+keeps no text, and every array is held until the call returns, so that no
+other array can take its id.
 """
 
 from __future__ import annotations
@@ -39,9 +46,14 @@ def _path_of(at) -> str:
 
 def fail(at, expected: str, value) -> NoReturn:
     """Raise the reader error for `value` found at `at`."""
-    shown = json.dumps(value, default=str)
-    if len(shown) > 60:
-        shown = shown[:57] + "..."
+    # the text of json.dumps(value, default=str), encoded lazily and cut past
+    # 60 characters, so a huge or deeply nested value costs only what is shown
+    shown = ""
+    for chunk in json.JSONEncoder(default=str).iterencode(value):
+        shown += chunk
+        if len(shown) > 60:
+            shown = shown[:57] + "..."
+            break
     where = _path_of(at)
     message = f"expected {expected}, got {shown}"
     raise SchemaError(f"{where}: {message}" if where else message)
@@ -186,7 +198,7 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
-def _encode(o, nl: str, markers: set, _get=_SCALARS.get, _str=encode_basestring_ascii) -> str:
+def _encode(o, nl: str, markers: set, memo: dict, _get=_SCALARS.get, _str=encode_basestring_ascii) -> str:
     """`o` as indent-2 JSON; `nl` is a newline plus the indent of the line `o` starts on."""
     # no type is both a container and a scalar, so containers may go first
     if isinstance(o, (list, tuple)):
@@ -195,11 +207,19 @@ def _encode(o, nl: str, markers: set, _get=_SCALARS.get, _str=encode_basestring_
         mark = id(o)
         if mark in markers:
             raise ValueError("Circular reference detected")
+        key = (mark, len(nl))
+        seen = memo.get(key)  # the list itself after its first sight, then (list, text)
+        if seen is not None and seen is not o:
+            return seen[1]
         markers.add(mark)
         inner = nl + "  "
-        parts = [enc(v) if (enc := _get(type(v))) else _encode(v, inner, markers) for v in o]
+        parts = [enc(v) if (enc := _get(type(v))) else _encode(v, inner, markers, memo) for v in o]
         markers.discard(mark)
-        return "[" + inner + ("," + inner).join(parts) + nl + "]"
+        text = "[" + inner + ("," + inner).join(parts) + nl + "]"
+        # keep the text from the list's second sight at this indent on; holding
+        # the list keeps its id from going to another list during this call
+        memo[key] = o if seen is None else (o, text)
+        return text
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -210,7 +230,7 @@ def _encode(o, nl: str, markers: set, _get=_SCALARS.get, _str=encode_basestring_
         inner = nl + "  "
         parts = [
             (_str(k) if type(k) is str else _str(_key(k)))
-            + (": " + enc(v) if (enc := _get(type(v))) else ": " + _encode(v, inner, markers))
+            + (": " + enc(v) if (enc := _get(type(v))) else ": " + _encode(v, inner, markers, memo))
             for k, v in o.items()
         ]
         markers.discard(mark)
@@ -229,4 +249,4 @@ def _encode(o, nl: str, markers: set, _get=_SCALARS.get, _str=encode_basestring_
 
 def dump_json(doc) -> str:
     """The one document encoding: the text of json.dumps(doc, indent=2) and a trailing newline."""
-    return _encode(doc, "\n", set()) + "\n"
+    return _encode(doc, "\n", set(), {}) + "\n"

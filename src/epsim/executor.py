@@ -92,7 +92,8 @@ def generate_schedule(
 
     Every edge endpoint must have a profile. Without a catalog each profiled
     job runs once for every member; a catalog (job name -> JobProfile)
-    supplies member roles and repetition instead.
+    supplies member roles and repetition instead, and must list every
+    profiled job.
     """
     scenario = scenario or Scenario()
     scenario.check()
@@ -107,9 +108,12 @@ def generate_schedule(
     if cycle:
         raise CycleDetected(cycle)
 
+    if catalog is not None and (unknown := sorted(by_name.keys() - catalog.keys())):
+        raise SuiteError(f"profiled job not in the model catalog: {', '.join(unknown)}")
+
     pseudo_jobs = []
     for name in sorted(by_name):
-        base = catalog.get(name) if catalog else None
+        base = catalog[name] if catalog is not None else None
         pseudo_jobs.append(
             JobProfile(
                 name=name,
@@ -589,21 +593,30 @@ def schedule_to_dict(doc: ScheduleDocument) -> dict:
     }
 
 
-_scheduled_job_from_dict = record(
-    ScheduledJob,
-    job_id=integer,
-    name=string,
-    depends_on=tuple_of(integer),
-    phases=tuple_of(phase_from_dict),
-    metadata=obj,
-)
+_phases_from_list = tuple_of(phase_from_dict)
 
 
 def schedule_from_dict(raw, at="") -> ScheduleDocument:
     o = obj(raw, at)
     scale = opt(o, "scale", at, obj, {})
+    # decode each distinct phase list once, so that the jobs of one name share
+    # one tuple again; repr, unlike ==, tells 1, 1.0 and true apart
+    decoded: dict[str, tuple[Phase, ...]] = {}
+
+    def phases(v, at) -> tuple[Phase, ...]:
+        try:
+            key = repr(v)
+        except RecursionError:  # nested too deep to print; the checked read reports it
+            return _phases_from_list(v, at)
+        if key not in decoded:
+            decoded[key] = _phases_from_list(v, at)
+        return decoded[key]
+
+    read_job = record(
+        ScheduledJob, job_id=integer, name=string, depends_on=tuple_of(integer), phases=phases, metadata=obj
+    )
     return ScheduleDocument(
-        jobs=tuple(sorted(req(o, "jobs", at, tuple_of(_scheduled_job_from_dict)), key=lambda j: j.job_id)),
+        jobs=tuple(sorted(req(o, "jobs", at, tuple_of(read_job)), key=lambda j: j.job_id)),
         created_from=opt(o, "created_from", at, tuple_of(string), ()),
         io_scale=opt(scale, "io_scale", (at, "scale"), number, 1.0),
         compute_scale=opt(scale, "compute_scale", (at, "scale"), number, 1.0),

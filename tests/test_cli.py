@@ -167,6 +167,29 @@ class TestWhatif:
         assert captured.err.startswith("error: --scenario") and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scenario", "s.json"],
+            ["--n-prime", "1", "--N-prime", "5"],
+            ["--speedup", "Forecast=2"],
+            ["--energy-factor", "Forecast=0.5"],
+            ["--path", "control", "--speedup", "Forecast=2", "--n-prime", "1", "--N-prime", "5"],
+        ],
+        ids=["scenario", "members", "speedup", "energy-factor", "all"],
+    )
+    def test_zero_category_does_not_combine_with_scenario_flags(self, capsys, flags):
+        assert main(["whatif", "--zero-category", "Forecast", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --zero-category does not combine with --scenario")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("flags", [[], ["--n-prime", "2", "--N-prime", "42"]], ids=["alone", "members"])
+    def test_path_needs_zero_category(self, capsys, flags):
+        assert main(["whatif", "--path", "control", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --path applies only with --zero-category\n" and captured.out == ""
+
     def test_nan_in_scenario_file_is_an_input_error(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         scenario.write_text('{"speedup": {"Forecast": NaN}}')  # Python's json reads NaN

@@ -2,18 +2,19 @@
 
 import copy
 import json
+import sys
 from enum import IntEnum
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from epsim.codec import dump_json, integer, load_json, number, record, string, tuple_of
+from epsim.codec import dump_json, integer, load_json, number, obj, opt, record, req, string, tuple_of
 from epsim.datafiles import edges_path, suite_model_path
 from epsim.errors import SchemaError, SuiteError
-from epsim.executor import generate_schedule, load_schedule, schedule_to_dict
+from epsim.executor import ScheduleDocument, ScheduledJob, generate_schedule, load_schedule, schedule_to_dict
 from epsim.model import EnsembleConfig, JobCategory, QueueSpec, load_edges, load_suite_model
-from epsim.profiles import load_profile, profile_to_dict
+from epsim.profiles import load_profile, phase_from_dict, profile_to_dict
 from epsim.whatif import Scenario, load_scenario, scenario_to_dict
 from test_pins import bundled_profiles
 
@@ -63,6 +64,35 @@ class TestReaders:
             load_json(path, integer)
 
 
+# a document with one value nested `depth` arrays deep, its loader, and the
+# path and nesting of the value the loader rejects
+DEEP = {
+    "kjs": ('{"jobs": [{"job_id": 0, "name": "a", "phases": %s}]}', load_schedule, "jobs[0].phases[0]", -1),
+    "model": ('{"ensemble": %s}', load_suite_model, "ensemble", 0),
+}
+
+
+@pytest.mark.parametrize("document", list(DEEP))
+def test_deep_nesting_is_an_input_error_not_a_recursion_error(tmp_path, document):
+    # json.load's depth limit shares the recursion limit with the readers, so
+    # the depths it still parses are found here, from the deepest one down
+    text, load, where, rejected = DEEP[document]
+    path = tmp_path / f"deep.{document}"
+
+    def message(depth: int) -> str:
+        path.write_text(text % ("[" * depth + "]" * depth), encoding="utf-8")
+        with pytest.raises(SchemaError) as exc:
+            load(path)
+        return str(exc.value)
+
+    depth = sys.getrecursionlimit()
+    while "not valid JSON" in message(depth):
+        depth -= 1
+    for depth in range(depth, depth - 20, -1):
+        shown = "[" * (depth + rejected) + "]" * (depth + rejected)
+        assert message(depth) == f"{path}: {where}: expected object, got {shown[:57]}..."
+
+
 # ---------------------------------------------------------------------------
 # fuzz: mutated bundled documents reach the loaders, and only SuiteError escapes
 
@@ -87,7 +117,7 @@ def _documents():
 
 
 DOCUMENTS = _documents()
-REPLACEMENTS = [None, True, False, 0, -1, 2.5, "x", "", [], {}, [1], {"a": 1}]
+REPLACEMENTS = [None, True, False, 0, -1, 1.0, 2.5, "x", "", [], {}, [1], {"a": 1}]
 
 
 def _locations(doc, keys=()):
@@ -146,6 +176,77 @@ def test_loaders_raise_only_suite_errors(tmp_path, document, steps):
         assert str(exc).startswith(f"{path}: ")
     except SuiteError:
         pass  # a semantic check, such as Scenario.check
+
+
+# the .kjs reader decodes each distinct phase list once; its oracle is the
+# checked reading of every entry, built here from the generic readers
+_reference_job = record(
+    ScheduledJob,
+    job_id=integer,
+    name=string,
+    depends_on=tuple_of(integer),
+    phases=tuple_of(phase_from_dict),
+    metadata=obj,
+)
+
+
+def _reference_schedule(raw, at=""):
+    o = obj(raw, at)
+    scale = opt(o, "scale", at, obj, {})
+    return ScheduleDocument(
+        jobs=tuple(sorted(req(o, "jobs", at, tuple_of(_reference_job)), key=lambda j: j.job_id)),
+        created_from=opt(o, "created_from", at, tuple_of(string), ()),
+        io_scale=opt(scale, "io_scale", (at, "scale"), number, 1.0),
+        compute_scale=opt(scale, "compute_scale", (at, "scale"), number, 1.0),
+    )
+
+
+def _assert_loads_as_reference(path):
+    try:
+        expected = load_json(path, _reference_schedule)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            load_schedule(path)
+        assert str(got.value) == str(exc)
+    else:
+        assert load_schedule(path) == expected
+
+
+# two members, so that every job name's phase list appears twice
+_two_members = generate_schedule(bundled_profiles(), list(load_edges(edges_path())), EnsembleConfig(1, 2))
+SHARED_KJS = json.loads(json.dumps(schedule_to_dict(_two_members)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(steps=mutations)
+def test_kjs_loader_matches_the_checked_reference(tmp_path, steps):
+    doc = copy.deepcopy(SHARED_KJS)
+    for pick, op, value in steps:
+        doc = _mutate(doc, pick, op, copy.deepcopy(value))
+    path = tmp_path / "fuzz.kjs"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _assert_loads_as_reference(path)
+
+
+@pytest.mark.parametrize(
+    "field, first, second",
+    [
+        ("bytes", 1, 1.0),
+        ("bytes", 1, True),
+        ("ranks", 4, 4.0),
+        ("duration_s", 1, True),
+        ("duration_s", 1.0, True),
+        ("duration_s", 1, 1.0),  # both numbers: accepted, and equal
+    ],
+)
+def test_kjs_phase_lists_that_differ_only_in_type_are_read_apart(tmp_path, field, first, second):
+    def job(job_id, value):
+        phase = {"kind": "compute"} if field == "duration_s" else {"kind": "mpi_exchange", "bytes": 8, "ranks": 2}
+        return {"job_id": job_id, "name": "a", "phases": [{**phase, field: value}]}
+
+    path = tmp_path / "typed.kjs"
+    path.write_text(json.dumps({"jobs": [job(0, first), job(1, second)]}), encoding="utf-8")
+    _assert_loads_as_reference(path)
 
 
 # ---------------------------------------------------------------------------
@@ -231,4 +332,24 @@ def test_dump_json_rejects_what_json_dumps_rejects(value):
 def test_a_shared_container_is_not_circular():
     shared = [1, {"x": 2.5}]
     value = {"a": shared, "b": [shared, shared]}
+    assert dump_json(value) == _oracle(value)
+
+
+def _nest(value, depth: int):
+    """`value` inside `depth` alternating one-entry dicts and lists."""
+    for level in range(depth):
+        value = {"k": value} if level % 2 else [value]
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shared=st.one_of(st.lists(json_values, min_size=1, max_size=3), st.tuples(json_values, json_values)),
+    depths=st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=6),
+)
+@example(shared=[1, {"x": [2.5]}], depths=[0, 1, 0])
+@example(shared=[[], "a"], depths=[2, 2, 0, 2])
+def test_dump_json_reuses_a_shared_list_only_at_its_own_indent(shared, depths):
+    # one list object met again and again at the same and at other indents
+    value = [_nest(shared, d) for d in depths]
     assert dump_json(value) == _oracle(value)

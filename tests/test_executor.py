@@ -566,6 +566,21 @@ class TestKjsRoundTrip:
         save_schedule(doc, path)
         assert load_schedule(path) == doc
 
+    def test_loaded_jobs_of_one_name_share_one_phases_tuple(self, tmp_path):
+        doc = generate_schedule(bundled_profiles(), list(load_edges(edges_path())), EnsembleConfig(1, 3))
+        path = tmp_path / "suite.kjs"
+        save_schedule(doc, path)
+        loaded = load_schedule(path)
+        first = {}
+        for job in loaded.jobs:
+            assert job.phases is first.setdefault(job.name, job.phases), job.name
+        assert len(first) == 16 and len(loaded.jobs) == 48
+        assert len({id(p) for p in first.values()}) == 16  # the names' phase lists all differ
+        # shared again, the tuples are written as the generated document was
+        again = tmp_path / "again.kjs"
+        save_schedule(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
 
 def _bundled_job_names():
     return [j.name for j in load_bundled_model().jobs]
@@ -590,3 +605,11 @@ def test_bundled_schedule_with_catalog_honors_roles():
     names = [j.name for j in doc.jobs]
     assert "PertAna" not in names  # perturbed-only job vanishes at n=N=1
     assert names.count("gl_bd") == 13
+
+
+def test_profiled_job_missing_from_the_catalog_is_an_error():
+    model = load_bundled_model()
+    profiles = [profile(j.name) for j in model.jobs] + [profile("Extra")]
+    catalog = {j.name: j for j in model.jobs}
+    with pytest.raises(SuiteError, match=r"^profiled job not in the model catalog: Extra$"):
+        generate_schedule(profiles, list(load_edges(edges_path())), EnsembleConfig(2, 4), catalog=catalog)
