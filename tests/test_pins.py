@@ -46,10 +46,17 @@ SIM_PINS = {  # (n_total, node_count, max_concurrent_jobs of both queues) -> (ev
         "427470b5ecc142ea330a4ccb7c3ca253e4893d7eb12d078a1b11d9e3af58486f",
         "b20983791cb6a52bb84c9c7a9b17c29b81345ae05e815da1835ae5626d1462c2",
     ),
+    # past member 999 ids sort as strings (X:m1000 before X:m100), not as
+    # (job, member, slot) tuples
+    (2000, 64, None): (
+        "c075ddff6e87b0285fc0582d80ab9d7d41da82236a9adf0ca0bdbd95156bceb2",
+        "29c6030c5f25504c09d2bd43bba762a401b5d619b01bac0c67d14df08e3451b6",
+    ),
 }
 REPORT_JSON_PIN = "5aa61e580b6723352510b8f7bd4bc61b56c5f189fee3f3f16ba4bf9ebd835cea"
 KJS_PIN = "dec91604c115b7fdc2da0018a31958c8711b5b198b79188d62db99919e61514d"
 KJS_SCALED_PIN = "41b1226b5610be6dbc902bfd106e308b3925ccbacb7be8168edb0f5acf1c2219"
+KJS_WIDE_PIN = "697afd0ad9dd5a81a89b76cbf1d4f49a6d0a19eb3fe8852078d51b2987014481"
 KJP_PIN = "be20ee45720ddd2b4bdd884623a0407d2ae85e7bdfa98d9fee7038cd9f1d2d91"
 SCENARIO_PIN = "4ac5fcd330b818856e6549913f680575525391523523ed47ed7c1e54596c40d5"
 
@@ -152,3 +159,16 @@ def test_bundled_schedule_scaled(tmp_path):
     target = tmp_path / "suite.kjs"
     save_schedule(doc, target)
     assert _sha256(target.read_text(encoding="utf-8")) == KJS_SCALED_PIN
+
+
+def test_bundled_schedule_past_member_999(tmp_path):
+    # job ids number the instance ids in string order, so Forecast:m1000
+    # comes before Forecast:m100
+    catalog = {j.name: j for j in load_bundled_model().jobs}
+    doc = generate_schedule(
+        bundled_profiles(), list(load_edges(edges_path())), EnsembleConfig(2, 1001), catalog=catalog
+    )
+    assert len(doc.jobs) == 25029
+    target = tmp_path / "suite.kjs"
+    save_schedule(doc, target)
+    assert _sha256(target.read_text(encoding="utf-8")) == KJS_WIDE_PIN
