@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--keep-scratch", action="store_true", help="keep scratch files on success")
     p.add_argument("--desk-scale", type=float, default=100.0, help="divide compute durations by this")
-    p.add_argument("--compute-ceiling", type=float, default=30.0, help="per-job compute cap in seconds")
+    p.add_argument("--compute-ceiling", type=float, default=30.0, help="cap on each compute phase, in seconds")
     p.add_argument("--inline", action="store_true", help="run phases in-process instead of spawning")
     p.add_argument("--log", default=None, help="write the run log JSON here")
     p.set_defaults(func=cmd_execute)

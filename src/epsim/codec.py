@@ -49,11 +49,14 @@ def fail(at, expected: str, value) -> NoReturn:
     # the text of json.dumps(value, default=str), encoded lazily and cut past
     # 60 characters, so a huge or deeply nested value costs only what is shown
     shown = ""
-    for chunk in json.JSONEncoder(default=str).iterencode(value):
-        shown += chunk
-        if len(shown) > 60:
-            shown = shown[:57] + "..."
-            break
+    try:
+        for chunk in json.JSONEncoder(default=str).iterencode(value):
+            shown += chunk
+            if len(shown) > 60:
+                shown = shown[:57] + "..."
+                break
+    except ValueError:  # an integer too long for int -> str, or a circular reference
+        shown = type(value).__name__
     where = _path_of(at)
     message = f"expected {expected}, got {shown}"
     raise SchemaError(f"{where}: {message}" if where else message)

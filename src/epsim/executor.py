@@ -42,7 +42,6 @@ from .model import (
     JobCategory,
     JobProfile,
     MemberRole,
-    RepetitionSpec,
     SuiteModel,
     expand_instances,
     find_job_cycle,
@@ -111,30 +110,10 @@ def generate_schedule(
     if catalog is not None and (unknown := sorted(by_name.keys() - catalog.keys())):
         raise SuiteError(f"profiled job not in the model catalog: {', '.join(unknown)}")
 
-    pseudo_jobs = []
-    for name in sorted(by_name):
-        base = catalog[name] if catalog is not None else None
-        pseudo_jobs.append(
-            JobProfile(
-                name=name,
-                category=base.category if base else JobCategory.OTHER,
-                role=base.role if base else MemberRole.ALL,
-                queue="synthetic",
-                cores_per_member=1,
-                wallclock_ctrl_s=0.0,
-                wallclock_pert_s=0.0,
-                energy=EnergyTerm(),
-                repetition=base.repetition if base else RepetitionSpec.single(),
-            )
-        )
-
-    model = SuiteModel(
-        ensemble=cfg,
-        cluster=ClusterSpec(),
-        jobs=tuple(pseudo_jobs),
-        edges=tuple(edges),
-    )
-    graph = expand_instances(model)
+    # a job's name, role and repetition are all that shape the document
+    plain = JobProfile("", JobCategory.OTHER, MemberRole.ALL, "synthetic", 1, 0.0, 0.0, EnergyTerm())
+    shapes = tuple(replace(plain if catalog is None else catalog[name], name=name) for name in sorted(by_name))
+    graph = expand_instances(SuiteModel(cfg, ClusterSpec(), shapes, tuple(edges)))
 
     # phases depend on the job name alone: scale each profile once, and let
     # the name's jobs share the tuple (Phase is frozen)
@@ -142,20 +121,18 @@ def generate_schedule(
         name: tuple(_scaled_phase(p, scenario.io_scale, scenario.compute_scale) for p in profile.phases)
         for name, profile in by_name.items()
     }
-    # job ids number the instance ids in sorted order, and each preds tuple
-    # is sorted, so every depends_on comes out sorted
-    ids = {iid: k for k, iid in enumerate(graph.ids())}
-    jobs = []
-    for iid, inst in graph.instances.items():
-        jobs.append(
-            ScheduledJob(
-                job_id=ids[iid],
-                name=inst.job,
-                depends_on=tuple([ids[p] for p in graph.preds[iid]]),
-                phases=phases_of[inst.job],
-                metadata={"instance": iid, "member": inst.member, "slot": inst.slot},
-            )
+    # a job id is its instance's rank, and its depends_on the sorted ranks of
+    # the instance's predecessors
+    jobs = [
+        ScheduledJob(
+            job_id=r,
+            name=inst.job,
+            depends_on=preds,
+            phases=phases_of[inst.job],
+            metadata={"instance": inst.id, "member": inst.member, "slot": inst.slot},
         )
+        for r, (inst, preds) in enumerate(zip(graph.ranked, graph.pred_ranks))
+    ]
     created_from = sorted({src for p in profiles for src in p.provenance} or {p.job for p in profiles})
     return ScheduleDocument(
         jobs=tuple(jobs),
@@ -165,23 +142,25 @@ def generate_schedule(
     )
 
 
-def _dependents(doc: ScheduleDocument) -> dict[int, list[int]]:
-    """Job id -> ids of the jobs that depend on it; checks ids are dense and known."""
+def _dependencies(doc: ScheduleDocument) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """(depends_on, dependents), each indexed by job id; checks ids are dense and known."""
     n = len(doc.jobs)
     if sorted(j.job_id for j in doc.jobs) != list(range(n)):
         raise SchemaError(f"job ids must be dense 0..{n - 1}")
-    succs: dict[int, list[int]] = {i: [] for i in range(n)}
+    preds: list[tuple[int, ...]] = [()] * n
+    succs: list[list[int]] = [[] for _ in range(n)]
     for j in doc.jobs:
+        preds[j.job_id] = j.depends_on
         for dep in j.depends_on:
-            if dep not in succs:
+            if not 0 <= dep < n:
                 raise SchemaError(f"job {j.job_id} depends on unknown id {dep}")
             succs[dep].append(j.job_id)
-    return succs
+    return preds, succs
 
 
 def topo_order(doc: ScheduleDocument) -> list[int]:
     """Deterministic topological order (Kahn, smallest id first)."""
-    return topological_order({j.job_id: j.depends_on for j in doc.jobs}, _dependents(doc))
+    return topological_order(*_dependencies(doc))
 
 
 def scale_schedule(doc: ScheduleDocument, io_factor: float, compute_factor: float) -> ScheduleDocument:
@@ -482,17 +461,16 @@ def execute(
     """
     if parallelism < 1:
         raise SuiteError("parallelism must be >= 1")
-    succs = _dependents(doc)
+    preds, succs = _dependencies(doc)
+    topological_order(preds, succs)  # acyclicity guard
     jobs = {j.job_id: j for j in doc.jobs}
-    topological_order({i: j.depends_on for i, j in jobs.items()}, succs)  # acyclicity guard
     path, created_tmp = _prepare_workdir(workdir)
     backend = backend or LocalProcessBackend()
 
     logrec = RunLog(workdir=str(path), parallelism=parallelism)
-    ready = [i for i, j in jobs.items() if not j.depends_on]
-    heapq.heapify(ready)
+    ready = [i for i, p in enumerate(preds) if not p]  # ascending: already a heap
     # neither ready nor skipped yet: job id -> dependencies not yet finished ok
-    pending = {i: len(j.depends_on) for i, j in jobs.items() if j.depends_on}
+    pending = {i: len(p) for i, p in enumerate(preds) if p}
     starts: dict[int, float] = {}
     running: dict = {}
 
@@ -503,9 +481,7 @@ def execute(
             if jid not in pending:
                 continue
             del pending[jid]
-            logrec.entries.append(
-                RunLogEntry(jid, jobs[jid].name, "skipped", None, None, None)
-            )
+            logrec.entries.append(RunLogEntry(jid, jobs[jid].name, "skipped", None, None, None))
             stack.extend(succs[jid])
 
     # the backend closes first, killing the jobs in flight, so that the pool's
@@ -526,18 +502,9 @@ def execute(
                     log.error("backend crashed on job %d: %s", jid, exc)
                     result = BackendResult(exit_code=-1)
                 status = "ok" if result.exit_code == 0 else "failed"
-                logrec.entries.append(
-                    RunLogEntry(
-                        jid,
-                        jobs[jid].name,
-                        status,
-                        result.exit_code,
-                        starts[jid],
-                        end,
-                        result.bytes_read,
-                        result.bytes_written,
-                    )
-                )
+                entry = RunLogEntry(jid, jobs[jid].name, status, result.exit_code, starts[jid], end)
+                entry.bytes_read, entry.bytes_written = result.bytes_read, result.bytes_written
+                logrec.entries.append(entry)
                 if status == "ok":
                     for s in succs[jid]:
                         if s in pending:

@@ -9,11 +9,13 @@ instance graphs and schedule documents share live here too.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Mapping, Sized
+from collections.abc import Iterable, Mapping, Sequence, Sized
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, TypeVar
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .codec import (
     boolean,
@@ -33,9 +35,6 @@ from .codec import (
     tuple_of,
 )
 from .errors import CycleDetected, ModelInvalid, SchemaError, UnknownJob
-
-K = TypeVar("K")  # a graph's node key, such as an instance id or a job id
-
 
 class JobCategory(str, Enum):
     LBCS = "LBCs"
@@ -237,15 +236,15 @@ class ValidationReport:
         self.warnings.append(ValidationIssue(code, message))
 
 
-def find_cycle(succs: Mapping[K, Iterable[K]]) -> list[K] | None:
-    """First cycle a depth-first walk finds, closed (first == last), or None.
+def find_cycle(succs: Sequence[Iterable[int]]) -> list[int] | None:
+    """First cycle a depth-first walk over nodes 0..n-1 finds, closed (first == last), or None.
 
-    Roots and successors are visited in the order `succs` gives them; every
-    successor must itself be a key of `succs`.
+    Roots are visited in index order and successors in the order `succs`
+    gives them.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(succs, WHITE)
-    for root in succs:
+    color = [WHITE] * len(succs)
+    for root in range(len(succs)):
         if color[root] != WHITE:
             continue
         # iterative DFS: path[k] is on the current chain and its successors
@@ -269,16 +268,16 @@ def find_cycle(succs: Mapping[K, Iterable[K]]) -> list[K] | None:
     return None
 
 
-def topological_order(preds: Mapping[K, Sized], succs: Mapping[K, Iterable[K]]) -> list[K]:
-    """Kahn order, smallest key first; raises CycleDetected naming a closed cycle.
+def topological_order(preds: Sequence[Sized], succs: Sequence[Iterable[int]], names: Sequence = ()) -> list[int]:
+    """Kahn order over nodes 0..n-1, smallest first.
 
     `preds` and `succs` describe the same edges (an edge listed twice counts
-    twice in both); in-degrees are `len(preds[k])`.
+    twice in both); in-degrees are `len(preds[k])`. Raises CycleDetected
+    naming a closed cycle, by `names[k]` when names are given.
     """
-    indeg = {k: len(p) for k, p in preds.items()}
-    heap = [k for k, d in indeg.items() if d == 0]
-    heapq.heapify(heap)
-    order: list[K] = []
+    indeg = [len(preds[k]) for k in range(len(preds))]
+    heap = [k for k, d in enumerate(indeg) if d == 0]  # ascending: already a heap
+    order: list[int] = []
     while heap:
         node = heapq.heappop(heap)
         order.append(node)
@@ -287,17 +286,21 @@ def topological_order(preds: Mapping[K, Sized], succs: Mapping[K, Iterable[K]]) 
             if indeg[nxt] == 0:
                 heapq.heappush(heap, nxt)
     if len(order) != len(indeg):
-        raise CycleDetected(find_cycle(succs))
+        cycle = find_cycle(succs)
+        raise CycleDetected([names[k] for k in cycle] if names else cycle)
     return order
 
 
 def find_job_cycle(names: list[str], edges: tuple[DependencyEdge, ...]) -> list[str] | None:
     """First job-name cycle in the edge set, or None; ignores unknown endpoints."""
-    succs: dict[str, list[str]] = {n: [] for n in names}
+    keys = list(dict.fromkeys(names))
+    index = {n: k for k, n in enumerate(keys)}
+    succs: list[list[int]] = [[] for _ in keys]
     for e in edges:
-        if e.from_job in succs and e.to_job in succs:
-            succs[e.from_job].append(e.to_job)
-    return find_cycle(succs)
+        if e.from_job in index and e.to_job in index:
+            succs[index[e.from_job]].append(index[e.to_job])
+    cycle = find_cycle(succs)
+    return cycle and [keys[k] for k in cycle]
 
 
 def validate_suite(model: SuiteModel) -> ValidationReport:
@@ -408,32 +411,60 @@ class Instance(NamedTuple):
 
 
 class InstanceGraph:
-    """Expanded per-member instances plus dependency edges (a DAG for valid models)."""
+    """Expanded per-member instances plus dependency edges (a DAG for valid models).
 
-    def __init__(self, instances: list[Instance], edges: set[tuple[str, str]]):
-        self.instances: dict[str, Instance] = {i.id: i for i in sorted(instances, key=lambda x: x.id)}
-        preds: dict[str, list[str]] = {i: [] for i in self.instances}
-        succs: dict[str, list[str]] = {i: [] for i in self.instances}
+    Instances are numbered by the rank of their id string, so rank order is id
+    order: `ranked[r]` is the instance of rank r, `rank_ids[r]` its id, and
+    `pred_ranks[r]` and `succ_ranks[r]` the sorted ranks of its predecessors
+    and successors. `succ_ranks`, and the read-only id-keyed views
+    `instances`, `preds` and `succs`, are built on first access.
+    """
+
+    def __init__(self, instances: Iterable[Instance], edges: Iterable[tuple[str, str]]):
+        ranked = sorted({i.id: i for i in instances}.values(), key=lambda i: i.id)
+        rank = {i.id: r for r, i in enumerate(ranked)}
+        preds: list[list[int]] = [[] for _ in ranked]
+        edges = list(edges)  # read twice when an endpoint is unknown
         try:
             for src, dst in edges:
-                preds[dst].append(src)
-                succs[src].append(dst)
+                preds[rank[dst]].append(rank[src])
         except KeyError:
-            src, dst = min(e for e in edges if e[0] not in preds or e[1] not in preds)
+            src, dst = min(e for e in edges if e[0] not in rank or e[1] not in rank)
             raise SchemaError(f"edge ({src}, {dst}) references unknown instance") from None
-        # each list sorted on its own: the order sorting every edge would give
-        self.preds = {k: tuple(sorted(v)) for k, v in preds.items()}
-        self.succs = {k: tuple(sorted(v)) for k, v in succs.items()}
+        self._link(ranked, [tuple(sorted(p)) for p in preds])
+
+    def _link(self, ranked: list[Instance], pred_ranks: list[tuple[int, ...]]) -> None:
+        self.ranked, self.rank_ids, self.pred_ranks = ranked, [i.id for i in ranked], pred_ranks
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.ranked)
 
     def ids(self) -> list[str]:
-        return list(self.instances)
+        return list(self.rank_ids)
 
+    def _named(self, rank_lists: list[tuple[int, ...]]) -> Mapping[str, tuple[str, ...]]:
+        ids = self.rank_ids
+        return MappingProxyType({i: tuple([ids[r] for r in rs]) for i, rs in zip(ids, rank_lists)})
 
-def _instance_id(job: str, member: int, slot: int) -> str:
-    return f"{job}:m{member:03d}:i{slot:03d}"
+    @cached_property
+    def succ_ranks(self) -> list[tuple[int, ...]]:
+        succs: list[list[int]] = [[] for _ in self.ranked]
+        for r, ps in enumerate(self.pred_ranks):
+            for p in ps:
+                succs[p].append(r)  # r ascends, so each list comes out sorted
+        return [tuple(s) for s in succs]
+
+    @cached_property
+    def instances(self) -> Mapping[str, Instance]:
+        return MappingProxyType(dict(zip(self.rank_ids, self.ranked)))
+
+    @cached_property
+    def preds(self) -> Mapping[str, tuple[str, ...]]:
+        return self._named(self.pred_ranks)
+
+    @cached_property
+    def succs(self) -> Mapping[str, tuple[str, ...]]:
+        return self._named(self.succ_ranks)
 
 
 def expand_instances(model: SuiteModel) -> InstanceGraph:
@@ -444,67 +475,70 @@ def expand_instances(model: SuiteModel) -> InstanceGraph:
     both jobs exist; ControlToAll / ControlToPerturbed edges connect control
     source instances to the respective target members' instances.
     """
-    cfg = model.ensemble
+    cfg, n = model.ensemble, model.ensemble.n_control
     instances: list[Instance] = []
-    # (job, member) -> list of instance ids, wave-major
-    by_job_member: dict[tuple[str, int], list[str]] = {}
-    edges: set[tuple[str, str]] = set()
+    block: dict[str, tuple[int, int]] = {}  # job -> (base, size): member m's slot k is instances[base + m * size + k]
+    waves_of: dict[str, list[slice]] = {}  # job -> the slots of each wave
+    jobs_by_name = {j.name: j for j in model.jobs}  # a name given twice (an invalid model) keeps its last job
 
-    for job in model.jobs:
-        rep = job.repetition
-        for member in cfg.members_for(job.role):
-            is_control = member < cfg.n_control
-            path = MemberPath.CONTROL if is_control else MemberPath.PERTURBED
-            duration = job.wallclock_for(path) / rep.waves
-            ids: list[str] = []
-            prev = 0  # where the previous wave starts in ids
-            for wave, width in enumerate(rep.wave_widths):
-                start = len(ids)
-                for slot in range(start, start + width):
-                    iid = _instance_id(job.name, member, slot)
-                    instances.append(
-                        Instance(
-                            id=iid,
-                            job=job.name,
-                            member=member,
-                            wave=wave,
-                            slot=slot,
-                            duration_s=duration,
-                            category=job.category,
-                            queue=job.queue,
-                            cores=job.cores_per_member,
-                            is_control=is_control,
-                        )
-                    )
-                    ids.append(iid)
-                # every instance of this wave runs after all of the previous one
-                edges.update((a, b) for a in ids[prev:start] for b in ids[start:])
-                prev = start
-            by_job_member[(job.name, member)] = ids
+    for job in jobs_by_name.values():
+        name, rep = job.name, job.repetition
+        waves = waves_of[name] = []
+        wave_of: list[int] = []  # by slot
+        for wave, width in enumerate(rep.wave_widths):
+            waves.append(slice(len(wave_of), len(wave_of) + width))
+            wave_of += [wave] * width
+        ctrl_s = job.wallclock_for(MemberPath.CONTROL) / rep.waves
+        pert_s = job.wallclock_for(MemberPath.PERTURBED) / rep.waves
+        placed = (job.category, job.queue, job.cores_per_member)
+        members = cfg.members_for(job.role)
+        block[name] = (len(instances) - members.start * len(wave_of), len(wave_of))
+        instances += [
+            Instance(f"{name}:m{m:03d}:i{slot:03d}", name, m, wave, slot, ctrl_s if m < n else pert_s, *placed, m < n)
+            for m in members
+            for slot, wave in enumerate(wave_of)
+        ]
 
-    jobs_by_name = {j.name: j for j in model.jobs}
+    ids = [i.id for i in instances]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = [0] * len(order)
+    for r, k in enumerate(order):
+        rank[k] = r
+    preds: list[list[int]] = [[] for _ in order]  # by rank, possibly repeated
+
+    def ranks(job: str, member: int) -> list[int]:
+        base, size = block[job]
+        return rank[base + member * size : base + (member + 1) * size]
+
+    def link(sources: list[int], targets: list[int]) -> None:
+        for r in targets:
+            preds[r] += sources
+
+    for job in jobs_by_name.values():
+        waves = waves_of[job.name]
+        for m in cfg.members_for(job.role) if len(waves) > 1 else ():
+            slots = ranks(job.name, m)
+            for a, b in zip(waves, waves[1:]):  # every instance of a wave runs after all of the previous one
+                link(slots[a], slots[b])
+
     for edge in model.edges:
-        src_job = jobs_by_name[edge.from_job]
-        dst_job = jobs_by_name[edge.to_job]
+        src_members = cfg.members_for(jobs_by_name[edge.from_job].role)
+        dst_members = cfg.members_for(jobs_by_name[edge.to_job].role)
         if edge.scope is EdgeScope.SAME_MEMBER:
-            pairs = [
-                (m, m)
-                for m in cfg.members_for(src_job.role)
-                if (edge.to_job, m) in by_job_member
-            ]
+            pairs = [(m, m) for m in src_members if m in dst_members]
         else:
-            src_members = [m for m in cfg.members_for(src_job.role) if m < cfg.n_control]
-            if edge.scope is EdgeScope.CONTROL_TO_ALL:
-                dst_members = cfg.members_for(dst_job.role)
-            else:  # CONTROL_TO_PERTURBED
-                dst_members = [m for m in cfg.members_for(dst_job.role) if m >= cfg.n_control]
-            pairs = [(ms, md) for ms in src_members for md in dst_members]
+            if edge.scope is EdgeScope.CONTROL_TO_PERTURBED:
+                dst_members = [m for m in dst_members if m >= n]
+            pairs = [(ms, md) for ms in src_members if ms < n for md in dst_members]
         for ms, md in pairs:
-            for a in by_job_member.get((edge.from_job, ms), ()):
-                for b in by_job_member.get((edge.to_job, md), ()):
-                    edges.add((a, b))
+            link(ranks(edge.from_job, ms), ranks(edge.to_job, md))
 
-    return InstanceGraph(instances, edges)
+    graph = InstanceGraph.__new__(InstanceGraph)
+    graph._link(
+        [instances[k] for k in order],
+        [tuple(sorted(set(p))) if len(p) > 1 else tuple(p) for p in preds],
+    )
+    return graph
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ class EventKind(str, Enum):
     FINISH = "Finish"
 
 
-_KIND_ORDER = {EventKind.FINISH: 0, EventKind.SUBMIT: 1, EventKind.START: 2}
+# the simulator's events are (time, kind, rank) tuples, kinds in their order at equal times
+_KINDS = (EventKind.FINISH, EventKind.SUBMIT, EventKind.START)
+_FINISH, _SUBMIT, _START = range(3)
 
 
 class SimEvent(NamedTuple):  # three per instance: builds ~10x faster than a frozen dataclass
@@ -57,26 +59,25 @@ class SimulationResult:
 
 def critical_path(graph: InstanceGraph) -> tuple[float, list[str]]:
     """Longest duration-weighted path; ties broken by lexicographic instance id."""
-    order = topological_order(graph.preds, graph.succs)  # raises CycleDetected
-    dist: dict[str, float] = {}
-    best_pred: dict[str, str | None] = {}
+    preds, ranked = graph.pred_ranks, graph.ranked
+    order = topological_order(preds, graph.succ_ranks, graph.rank_ids)  # raises CycleDetected
+    dist = [0.0] * len(order)
+    best_pred = [-1] * len(order)
     for node in order:
-        best, pick = 0.0, None
-        for p in graph.preds[node]:
-            if dist[p] > best:  # preds are sorted, so a tie keeps the smaller id
+        best, pick = 0.0, -1
+        for p in preds[node]:
+            if dist[p] > best:  # preds are sorted, so a tie keeps the smaller rank
                 best, pick = dist[p], p
-        dist[node] = graph.instances[node].duration_s + best
+        dist[node] = ranked[node].duration_s + best
         best_pred[node] = pick
-    if not dist:
-        return 0.0, []
-    end = min((i for i in dist), key=lambda i: (-dist[i], i))
+    length = max(dist, default=0.0)
+    node = dist.index(length) if dist else -1  # the smallest rank of the longest paths
     chain: list[str] = []
-    node: str | None = end
-    while node is not None:
-        chain.append(node)
+    while node >= 0:
+        chain.append(graph.rank_ids[node])
         node = best_pred[node]
     chain.reverse()
-    return dist[end], chain
+    return length, chain
 
 
 def node_demand(cores: int, queue: QueueSpec, cluster: ClusterSpec) -> int:
@@ -142,54 +143,53 @@ def simulate(graph: InstanceGraph, cluster: ClusterSpec) -> SimulationResult:
     before any event is produced.
     """
     queues = dict(cluster.queues)
-    classes: dict[tuple[str, int], list[tuple[float, str]]] = {}  # heaps of (ready_time, id)
-    class_of: dict[str, list[tuple[float, str]]] = {}
-    for inst in graph.instances.values():
-        class_of[inst.id] = classes.setdefault((inst.queue, inst.cores), [])
-        q = queues.setdefault(inst.queue, DEFAULT_QUEUE)
+    classes: dict[tuple[str, int], list[tuple[float, int]]] = {}  # heaps of (ready_time, rank)
+    class_of = [classes.setdefault((inst.queue, inst.cores), []) for inst in graph.ranked]
+    for (qid, cores), heap in classes.items():  # ordered by each class's first rank
+        q = queues.setdefault(qid, DEFAULT_QUEUE)
         if q.max_concurrent_jobs is not None and q.max_concurrent_jobs < 1:
-            raise InvalidCluster(
-                f"queue {inst.queue!r} admits no job: max_concurrent_jobs is {q.max_concurrent_jobs}"
-            )
+            raise InvalidCluster(f"queue {qid!r} admits no job: max_concurrent_jobs is {q.max_concurrent_jobs}")
         if q.exclusive_nodes:
-            need = node_demand(inst.cores, q, cluster)
-            if cluster.node_count is not None and need > cluster.node_count:
-                raise InfeasibleInstance(inst.id, need, cluster.node_count)
-        elif inst.cores > cluster.cores_per_node:
-            raise InfeasibleInstance(inst.id, 1, 0)
+            need, have = node_demand(cores, q, cluster), cluster.node_count
+        else:  # one node's cores, of which the idle cluster has enough or none
+            need, have = 1, int(cores <= cluster.cores_per_node)
+        if have is not None and need > have:  # name the class's first instance
+            raise InfeasibleInstance(graph.rank_ids[next(r for r, h in enumerate(class_of) if h is heap)], need, have)
 
     cp_len, cp_chain = critical_path(graph)  # raises CycleDetected
 
-    pending_preds = {iid: len(p) for iid, p in graph.preds.items()}
-    events: list[SimEvent] = []
-    start_times: dict[str, float] = {}
-    finish_times: dict[str, float] = {}
-    running: list[tuple[float, str]] = []  # heap of (finish_time, id)
+    n = len(graph)
+    duration = [inst.duration_s for inst in graph.ranked]
+    succs = graph.succ_ranks
+    pending_preds = [len(p) for p in graph.pred_ranks]
+    events: list[tuple[float, int, int]] = []  # (time, kind, rank)
+    start = [0.0] * n
+    finish = [0.0] * n
+    running: list[tuple[float, int]] = []  # heap of (finish_time, rank)
     queue_load: dict[str, int] = {qid: 0 for qid in queues}
-    placements: dict[str, tuple[int, ...]] = {}
+    placements: list[tuple[int, ...]] = [()] * n
     pool = _NodePool(cluster)
     node_intervals: dict[int, list[tuple[float, float]]] = {}
 
-    def submit(iid: str, t: float) -> None:
-        events.append(SimEvent(iid, EventKind.SUBMIT, t))
-        heapq.heappush(class_of[iid], (t, iid))
+    def submit(r: int, t: float) -> None:
+        events.append((t, _SUBMIT, r))
+        heapq.heappush(class_of[r], (t, r))
 
-    for iid in graph.ids():
-        if not pending_preds[iid]:
-            submit(iid, 0.0)
+    for r, p in enumerate(pending_preds):
+        if not p:
+            submit(r, 0.0)
 
     def try_dispatch(now: float) -> None:
-        # greedy pass in (ready_time, id) order over the class heads; instances
+        # greedy pass in (ready_time, rank) order over the class heads; instances
         # that do not fit right now stay ready and are retried at the next event
         heads = [(h[0], key, h) for key, h in classes.items() if h]
         heapq.heapify(heads)
         while heads:
-            (_, iid), key, h = heads[0]
+            (_, r), key, h = heads[0]
             qid, cores = key
             q = queues[qid]
-            ids = None
-            if q.max_concurrent_jobs is None or queue_load[qid] < q.max_concurrent_jobs:
-                ids = pool.place(cores, q)
+            admits = q.max_concurrent_jobs is None or queue_load[qid] < q.max_concurrent_jobs
+            ids = pool.place(cores, q) if admits else None
             if ids is None:
                 heapq.heappop(heads)
                 continue
@@ -198,66 +198,59 @@ def simulate(graph: InstanceGraph, cluster: ClusterSpec) -> SimulationResult:
                 heapq.heapreplace(heads, (h[0], key, h))
             else:
                 heapq.heappop(heads)
-            placements[iid] = ids
+            placements[r] = ids
             queue_load[qid] += 1
-            start_times[iid] = now
-            fin = now + graph.instances[iid].duration_s
-            finish_times[iid] = fin
-            events.append(SimEvent(iid, EventKind.START, now))
-            heapq.heappush(running, (fin, iid))
+            start[r] = now
+            finish[r] = fin = now + duration[r]
+            events.append((now, _START, r))
+            heapq.heappush(running, (fin, r))
 
     try_dispatch(0.0)
     while running:
         now = running[0][0]
-        finished: list[str] = []
+        finished: list[int] = []
         while running and running[0][0] == now:
-            _, iid = heapq.heappop(running)
-            finished.append(iid)
-        for iid in sorted(finished):
-            inst = graph.instances[iid]
-            q = queues[inst.queue]
-            events.append(SimEvent(iid, EventKind.FINISH, now))
-            pool.release(placements[iid], inst.cores, q)
+            finished.append(heapq.heappop(running)[1])
+        for r in sorted(finished):
+            inst = graph.ranked[r]
+            events.append((now, _FINISH, r))
+            pool.release(placements[r], inst.cores, queues[inst.queue])
             queue_load[inst.queue] -= 1
-            for nid in placements[iid]:
-                node_intervals.setdefault(nid, []).append((start_times[iid], now))
-            for succ in graph.succs[iid]:
+            for nid in placements[r]:
+                node_intervals.setdefault(nid, []).append((start[r], now))
+            for succ in succs[r]:
                 pending_preds[succ] -= 1
                 if not pending_preds[succ]:
                     submit(succ, now)
         try_dispatch(now)
 
-    makespan = max(finish_times.values(), default=0.0)
     per_node = {nid: _union_length(iv) for nid, iv in sorted(node_intervals.items())}
     per_cat: dict[JobCategory, float] = {}
-    for inst in graph.instances.values():
+    for inst in graph.ranked:
         per_cat[inst.category] = per_cat.get(inst.category, 0.0) + inst.duration_s
-    events.sort(key=lambda e: (e.time_s, _KIND_ORDER[e.kind], e.instance_id))
+    events.sort()
+    ids = graph.rank_ids
     return SimulationResult(
-        events=events,
-        makespan_s=makespan,
+        events=[SimEvent(ids[r], _KINDS[k], t) for t, k, r in events],
+        makespan_s=max(finish, default=0.0),
         critical_path=cp_chain,
         critical_path_s=cp_len,
         per_node_busy_s=per_node,
         per_category_busy_s=per_cat,
         nodes_used=pool.high_water,
-        start_times=start_times,
-        finish_times=finish_times,
+        start_times=dict(zip(ids, start)),
+        finish_times=dict(zip(ids, finish)),
     )
 
 
 def _union_length(intervals: list[tuple[float, float]]) -> float:
-    total, cur_start, cur_end = 0.0, None, None
+    total, lo, hi = 0.0, 0.0, 0.0  # times are >= 0, so the empty interval at 0 adds nothing
     for s, e in sorted(intervals):
-        if cur_end is None or s > cur_end:
-            if cur_end is not None:
-                total += cur_end - cur_start
-            cur_start, cur_end = s, e
-        else:
-            cur_end = max(cur_end, e)
-    if cur_end is not None:
-        total += cur_end - cur_start
-    return total
+        if s > hi:
+            total += hi - lo
+            lo = s
+        hi = max(hi, e)
+    return total + (hi - lo)
 
 
 def utilization(result: SimulationResult, cluster: ClusterSpec) -> tuple[dict[int, float], float]:
@@ -276,7 +269,9 @@ def events_csv(result: SimulationResult) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["instance_id", "kind", "time_s"])
-    writer.writerows((e.instance_id, e.kind.value, repr(e.time_s)) for e in result.events)
+    # csv writes a float as its repr
+    text = {k: k.value for k in EventKind}
+    writer.writerows([(e.instance_id, text[e.kind], e.time_s) for e in result.events])
     return buf.getvalue()
 
 

@@ -34,6 +34,13 @@ class TestReaders:
         with pytest.raises(SchemaError, match=r"^expected number, got "):
             number(value, "")
 
+    def test_an_integer_too_long_to_print_is_named_by_its_type(self):
+        # int -> str refuses more than 4,300 digits; the error must still be a SchemaError
+        with pytest.raises(SchemaError, match=r"^x: expected number, got int$"):
+            number(10**5000, ("", "x"))
+        with pytest.raises(SchemaError, match=r"^expected integer, got list$"):
+            integer([10**5000], "")
+
     def test_path_names_keys_and_indices(self):
         at = ((((("", "jobs"), 3), "phases"), 0), "duration_s")
         with pytest.raises(SchemaError) as exc:

@@ -161,6 +161,18 @@ class TestTopoOrder:
         with pytest.raises(SchemaError):
             topo_order(doc_of([sjob(0), sjob(2)]))
 
+    @pytest.mark.parametrize("dep", [2, -1, -2])
+    def test_dependency_outside_the_ids_is_unknown(self, dep, tmp_path):
+        # job ids index lists, where -1 would quietly name the last job
+        doc = doc_of([sjob(0), sjob(1, [dep])])
+        for run in (lambda: topo_order(doc), lambda: execute(doc, backend=FAST, workdir=tmp_path)):
+            with pytest.raises(SchemaError, match=rf"^job 1 depends on unknown id {dep}$"):
+                run()
+
+    def test_jobs_listed_out_of_id_order(self):
+        doc = doc_of([sjob(2, [0]), sjob(0), sjob(1, [2])])
+        assert topo_order(doc) == [0, 2, 1]
+
 
 class TestScaleSchedule:
     def test_identity(self):

@@ -179,8 +179,83 @@ class TestInstanceGraph:
     def test_unknown_endpoint_names_the_smallest_such_edge(self):
         graph = expand_instances(make_model([make_job("A")], n=1, N=2))
         a0, a1 = graph.ids()
-        with pytest.raises(SchemaError, match=r"^edge \(A:m000:i000, B\) references unknown instance$"):
-            InstanceGraph(list(graph.instances.values()), [(a1, "C"), ("Z", a0), (a0, "B")])
+        edges = [(a1, "C"), ("Z", a0), (a0, "B")]
+        for given in (edges, iter(edges)):
+            with pytest.raises(SchemaError, match=r"^edge \(A:m000:i000, B\) references unknown instance$"):
+                InstanceGraph(list(graph.instances.values()), given)
+
+
+def expansion_oracle(model):
+    """Instance id -> (wave, set of predecessor ids), from the expansion rules alone."""
+    n, N = model.ensemble.n_control, model.ensemble.n_total
+    members = {MemberRole.ALL: range(N), MemberRole.CONTROL_ONLY: range(n), MemberRole.PERTURBED_ONLY: range(n, N)}
+    slots = {}  # job -> member -> [(id, wave)] in slot order
+    for job in model.jobs:
+        waves = [w for w, width in enumerate(job.repetition.wave_widths) for _ in range(width)]
+        slots[job.name] = {
+            m: [(f"{job.name}:m{m:03d}:i{k:03d}", w) for k, w in enumerate(waves)] for m in members[job.role]
+        }
+    graph = {}
+    for by_member in slots.values():
+        for run in by_member.values():
+            for iid, wave in run:
+                graph[iid] = (wave, {p for p, w in run if w == wave - 1})
+    for e in model.edges:
+        for ms, sources in slots[e.from_job].items():
+            if e.scope is EdgeScope.SAME_MEMBER:
+                targets = [ms]
+            elif ms >= n:
+                targets = []
+            else:
+                targets = range(N) if e.scope is EdgeScope.CONTROL_TO_ALL else range(n, N)
+            for md in targets:
+                for b, _ in slots[e.to_job].get(md, []):
+                    graph[b][1].update(a for a, _ in sources)
+    return graph
+
+
+class TestRankGraph:
+    def test_ranks_and_views_match_the_oracle_past_member_999(self):
+        jobs = [
+            make_job("Blend", role=MemberRole.CONTROL_ONLY),
+            make_job("PertAna", role=MemberRole.PERTURBED_ONLY),
+            make_job("Forecast", repetition=RepetitionSpec(3, 2, (1, 2))),
+            make_job("Post"),
+        ]
+        edges = [
+            DependencyEdge("Blend", "PertAna", EdgeScope.CONTROL_TO_PERTURBED),
+            DependencyEdge("Blend", "Forecast", EdgeScope.CONTROL_TO_ALL),
+            DependencyEdge("PertAna", "Forecast"),
+            DependencyEdge("Forecast", "Post"),
+            DependencyEdge("Blend", "Post", EdgeScope.CONTROL_TO_ALL),
+            DependencyEdge("Blend", "Post"),  # repeats the ControlToAll edge on control members
+        ]
+        model = make_model(jobs, edges, n=2, N=1001)
+        graph = expand_instances(model)
+        expected = expansion_oracle(model)
+
+        ids = sorted(expected)  # as strings: Post:m1000 sorts before Post:m100
+        assert ids.index("Post:m1000:i000") < ids.index("Post:m100:i000")
+        assert graph.rank_ids == graph.ids() == ids
+        assert [i.id for i in graph.ranked] == ids
+        assert all(list(t) == sorted(set(t)) for t in graph.pred_ranks + graph.succ_ranks)
+
+        assert {i: (inst.id, inst.wave) for i, inst in graph.instances.items()} == {
+            i: (i, wave) for i, (wave, _) in expected.items()
+        }
+        assert dict(graph.preds) == {i: tuple(sorted(ps)) for i, (_, ps) in expected.items()}
+        succs = {i: [] for i in ids}
+        for i in ids:
+            for p in sorted(expected[i][1]):
+                succs[p].append(i)
+        assert dict(graph.succs) == {i: tuple(s) for i, s in succs.items()}
+        assert [tuple(graph.rank_ids[p] for p in t) for t in graph.pred_ranks] == [graph.preds[i] for i in ids]
+
+    def test_views_are_read_only(self):
+        graph = expand_instances(make_model([make_job("A"), make_job("B")], [DependencyEdge("A", "B")], n=1, N=2))
+        for view in (graph.instances, graph.preds, graph.succs):
+            with pytest.raises(TypeError):
+                view["A:m000:i000"] = ()
 
 
 class TestExpansion:
@@ -264,7 +339,7 @@ def test_instance_counts_follow_role_multiplier(model):
 @given(strategies.suite_models())
 def test_expansion_preserves_acyclicity(model):
     graph = expand_instances(model)
-    order = topological_order(graph.preds, graph.succs)  # raises CycleDetected on a cycle
+    order = topological_order(graph.pred_ranks, graph.succ_ranks)  # raises CycleDetected on a cycle
     assert len(order) == len(graph)
 
 

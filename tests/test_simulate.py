@@ -163,6 +163,17 @@ class TestCriticalPath:
                 run()
             assert str(exc.value) == "dependency cycle: A -> B -> A"
 
+    def test_cycle_is_named_by_ids_in_id_order(self):
+        # instances listed against id order: the walk starts from the smallest id
+        g = graph_of(
+            [inst("z", 1.0), inst("m", 1.0), inst("a", 1.0)],
+            {("z", "m"), ("m", "z"), ("a", "m")},
+        )
+        for run in (lambda: critical_path(g), lambda: simulate(g, UNLIMITED)):
+            with pytest.raises(CycleDetected) as exc:
+                run()
+            assert exc.value.cycle == ["m", "z", "m"]
+
     def test_empty_graph(self):
         assert critical_path(graph_of([])) == (0.0, [])
 
