@@ -17,15 +17,6 @@ class UnknownJob(SuiteError):
         super().__init__(f"unknown job: {name!r}")
 
 
-class ModelInvalid(SuiteError):
-    """Raised by ensure_valid() when a validation report contains errors."""
-
-    def __init__(self, report):
-        self.report = report
-        lines = "; ".join(i.message for i in report.errors)
-        super().__init__(f"invalid suite model: {lines}")
-
-
 class DegenerateTotal(SuiteError):
     pass
 
@@ -48,6 +39,12 @@ class InfeasibleInstance(SuiteError):
 
 class InvalidCluster(SuiteError):
     pass
+
+
+class InvalidDuration(SuiteError):
+    def __init__(self, instance_id, duration_s):
+        self.instance_id = instance_id
+        super().__init__(f"instance {instance_id} lasts {duration_s!r} s; a duration must be finite and >= 0")
 
 
 class FormatError(SuiteError):

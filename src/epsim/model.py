@@ -34,7 +34,7 @@ from .codec import (
     string,
     tuple_of,
 )
-from .errors import CycleDetected, ModelInvalid, SchemaError, UnknownJob
+from .errors import CycleDetected, SchemaError, UnknownJob
 
 class JobCategory(str, Enum):
     LBCS = "LBCs"
@@ -382,13 +382,6 @@ def validate_suite(model: SuiteModel) -> ValidationReport:
     if cycle:
         report.error("CycleDetected", "dependency cycle: " + " -> ".join(cycle))
     return report
-
-
-def ensure_valid(model: SuiteModel) -> SuiteModel:
-    report = validate_suite(model)
-    if not report.ok:
-        raise ModelInvalid(report)
-    return model
 
 
 # ---------------------------------------------------------------------------

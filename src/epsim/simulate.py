@@ -13,15 +13,15 @@ in the same order.
 
 from __future__ import annotations
 
-import csv
 import heapq
-import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 from .codec import dump_json
-from .errors import InfeasibleInstance, InvalidCluster
+from .errors import InfeasibleInstance, InvalidCluster, InvalidDuration
 from .model import ClusterSpec, InstanceGraph, JobCategory, QueueSpec, topological_order
 
 DEFAULT_QUEUE = QueueSpec(exclusive_nodes=True, max_concurrent_jobs=None)
@@ -46,15 +46,34 @@ class SimEvent(NamedTuple):  # three per instance: builds ~10x faster than a fro
 
 @dataclass
 class SimulationResult:
-    events: list[SimEvent]
+    """A simulated schedule in the simulator's own arrays: the sorted (time,
+    kind, rank) `rank_events`, kind k being `_KINDS[k]`, and `rank_ids`,
+    `start_s` and `finish_s` by rank. The id-keyed views `events`,
+    `start_times` and `finish_times` are built on first access."""
+
     makespan_s: float
     critical_path: list[str]
     critical_path_s: float
     per_node_busy_s: dict[int, float]
     per_category_busy_s: dict[JobCategory, float]
     nodes_used: int
-    start_times: dict[str, float] = field(default_factory=dict)
-    finish_times: dict[str, float] = field(default_factory=dict)
+    rank_events: list[tuple[float, int, int]]
+    rank_ids: list[str]
+    start_s: list[float]
+    finish_s: list[float]
+
+    @cached_property
+    def events(self) -> list[SimEvent]:
+        ids = self.rank_ids
+        return [SimEvent(ids[r], _KINDS[k], t) for t, k, r in self.rank_events]
+
+    @cached_property
+    def start_times(self) -> dict[str, float]:
+        return dict(zip(self.rank_ids, self.start_s))
+
+    @cached_property
+    def finish_times(self) -> dict[str, float]:
+        return dict(zip(self.rank_ids, self.finish_s))
 
 
 def critical_path(graph: InstanceGraph) -> tuple[float, list[str]]:
@@ -138,8 +157,9 @@ def simulate(graph: InstanceGraph, cluster: ClusterSpec) -> SimulationResult:
 
     Raises CycleDetected when the graph has a dependency cycle,
     InvalidCluster when an instance's queue admits no job (a
-    max_concurrent_jobs below 1), and InfeasibleInstance when an instance
-    needs more nodes or cores than the idle cluster has; all are raised
+    max_concurrent_jobs below 1), InfeasibleInstance when an instance
+    needs more nodes or cores than the idle cluster has, and InvalidDuration
+    when an instance's duration is not finite and >= 0; all are raised
     before any event is produced.
     """
     queues = dict(cluster.queues)
@@ -156,10 +176,14 @@ def simulate(graph: InstanceGraph, cluster: ClusterSpec) -> SimulationResult:
         if have is not None and need > have:  # name the class's first instance
             raise InfeasibleInstance(graph.rank_ids[next(r for r, h in enumerate(class_of) if h is heap)], need, have)
 
+    duration = [inst.duration_s for inst in graph.ranked]
+    for r, d in enumerate(duration):
+        if not 0.0 <= d < math.inf:  # a NaN finish time would never leave the running heap
+            raise InvalidDuration(graph.rank_ids[r], d)
+
     cp_len, cp_chain = critical_path(graph)  # raises CycleDetected
 
     n = len(graph)
-    duration = [inst.duration_s for inst in graph.ranked]
     succs = graph.succ_ranks
     pending_preds = [len(p) for p in graph.pred_ranks]
     events: list[tuple[float, int, int]] = []  # (time, kind, rank)
@@ -229,17 +253,17 @@ def simulate(graph: InstanceGraph, cluster: ClusterSpec) -> SimulationResult:
     for inst in graph.ranked:
         per_cat[inst.category] = per_cat.get(inst.category, 0.0) + inst.duration_s
     events.sort()
-    ids = graph.rank_ids
     return SimulationResult(
-        events=[SimEvent(ids[r], _KINDS[k], t) for t, k, r in events],
         makespan_s=max(finish, default=0.0),
         critical_path=cp_chain,
         critical_path_s=cp_len,
         per_node_busy_s=per_node,
         per_category_busy_s=per_cat,
         nodes_used=pool.high_water,
-        start_times=dict(zip(ids, start)),
-        finish_times=dict(zip(ids, finish)),
+        rank_events=events,
+        rank_ids=graph.rank_ids,
+        start_s=start,
+        finish_s=finish,
     )
 
 
@@ -266,13 +290,17 @@ def utilization(result: SimulationResult, cluster: ClusterSpec) -> tuple[dict[in
 
 
 def events_csv(result: SimulationResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["instance_id", "kind", "time_s"])
-    # csv writes a float as its repr
-    text = {k: k.value for k in EventKind}
-    writer.writerows([(e.instance_id, text[e.kind], e.time_s) for e in result.events])
-    return buf.getvalue()
+    """The event log as CSV: a time as its repr, an id holding `,`, `"` or a line break quoted (RFC 4180)."""
+    ids = result.rank_ids
+    if any(c in "".join(ids) for c in ',"\r\n'):  # one scan of the joined ids, not one per id
+        ids = ['"' + i.replace('"', '""') + '"' if any(c in i for c in ',"\r\n') else i for i in ids]
+    lines = ["instance_id,kind,time_s\n"]
+    last, tails = None, []
+    for t, k, r in result.rank_events:
+        if t != last:  # events are sorted, so each distinct time's text is made once
+            last, tails = t, [f",{kind.value},{t!r}\n" for kind in _KINDS]
+        lines.append(ids[r] + tails[k])
+    return "".join(lines)
 
 
 def summary_json(result: SimulationResult, cluster: ClusterSpec) -> str:

@@ -16,13 +16,14 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 HELP_COMMANDS = ["main", "ingest", "model", "report", "simulate", "whatif", "schedule", "execute"]
 
 
-def run_cli(*argv, check=False):
+def run_cli(*argv, check=False, timeout=None):
     env = dict(os.environ, COLUMNS="80")
     proc = subprocess.run(
         [sys.executable, "-m", "epsim.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
     if check:
         assert proc.returncode == 0, proc.stderr
@@ -103,6 +104,20 @@ class TestSimulate:
         assert proc.returncode == 1
         assert "error [InvalidCluster]" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("nodes", ["unlimited", "64"])
+    def test_nan_duration_is_an_input_error(self, tmp_path, nodes):
+        # validate_suite lets a NaN wall-clock through, and simulate once looped
+        # on it for ever: the timeout stops such a run
+        raw = json.loads(suite_model_path().read_text())
+        raw["jobs"][0]["wallclock_ctrl_s"] = float("nan")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(raw))  # json writes the literal NaN
+        proc = run_cli("simulate", "--model", str(model), "--nodes", nodes, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: instance MARS_prefetch_bd:m000:i000 lasts nan s; a duration must be finite and >= 0\n"
+        )
 
     def test_bad_nodes_value(self):
         proc = run_cli("simulate", "--nodes", "many")

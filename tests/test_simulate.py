@@ -1,3 +1,10 @@
+import csv
+import io
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,9 +20,11 @@ from epsim.model import (
     JobCategory,
     QueueSpec,
     expand_instances,
+    validate_suite,
 )
 from epsim.simulate import (
     EventKind,
+    SimEvent,
     critical_path,
     events_csv,
     node_demand,
@@ -377,3 +386,111 @@ def test_capacity_respected_at_start_events(graph, cluster):
                 )
         if cluster.node_count is not None:
             assert occupied <= cluster.node_count + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# bad durations
+
+
+BAD_DURATIONS = ["nan", "inf", "-inf", "-1.0"]
+
+
+def test_bad_duration_is_rejected_before_any_event():
+    # a NaN finish time never leaves the running heap, and the event loop used
+    # to spin on it for ever: the calls run in a child that a timeout stops
+    child = textwrap.dedent(f"""
+        from epsim.errors import InvalidDuration
+        from epsim.model import ClusterSpec, Instance, InstanceGraph, JobCategory, QueueSpec
+        from epsim.simulate import simulate
+
+        for text in {BAD_DURATIONS!r}:
+            graph = InstanceGraph(
+                [Instance(i, i, 0, 0, 0, d, JobCategory.OTHER, "np", 1, True) for i, d in (("A", 1.0), ("B", float(text)))],
+                [("A", "B")],
+            )
+            for nodes in (None, 1):
+                try:
+                    simulate(graph, ClusterSpec(node_count=nodes, cores_per_node=1, queues={{"np": QueueSpec(True)}}))
+                except InvalidDuration as exc:
+                    print(exc.instance_id, exc)
+    """)
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        f"B instance B lasts {float(text)!r} s; a duration must be finite and >= 0"
+        for text in BAD_DURATIONS
+        for _ in range(2)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the event log against the stdlib csv writer
+
+
+KINDS_AT_EQUAL_TIMES = (EventKind.FINISH, EventKind.SUBMIT, EventKind.START)
+ODD_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é", "→", "😀"]), max_size=4)
+
+
+def csv_writer_log(events):
+    """The event log as csv.writer writes it, a float as its repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["instance_id", "kind", "time_s"])
+    writer.writerows([(e.instance_id, e.kind.value, e.time_s) for e in events])
+    return buf.getvalue()
+
+
+@st.composite
+def oddly_named_models(draw):
+    model = draw(strategies.suite_models(max_jobs=4))
+    # distinct leading digits keep the instance ids of different jobs distinct
+    names = {j.name: f"{k}{draw(ODD_TEXT)}" for k, j in enumerate(model.jobs)}
+    return replace(
+        model,
+        jobs=tuple(replace(j, name=names[j.name]) for j in model.jobs),
+        edges=tuple(replace(e, from_job=names[e.from_job], to_job=names[e.to_job]) for e in model.edges),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(oddly_named_models(), st.sampled_from([None, 2]))
+def test_events_csv_writes_the_bytes_of_csv_writer(model, nodes):
+    cluster = replace(model.cluster, node_count=nodes, cores_per_node=72)  # every drawn job fits a node
+    graph = expand_instances(model)
+    result = simulate(graph, cluster)
+
+    ids = graph.rank_ids
+    events = [SimEvent(ids[r], KINDS_AT_EQUAL_TIMES[k], t) for t, k, r in result.rank_events]
+    assert type(result.events) is list and all(type(e) is SimEvent for e in result.events)
+    assert result.events == events
+    for view, kind in ((result.start_times, EventKind.START), (result.finish_times, EventKind.FINISH)):
+        assert type(view) is dict and list(view) == ids
+        assert view == {e.instance_id: e.time_s for e in events if e.kind is kind}
+        assert all(type(t) is float for t in view.values())
+
+    log = events_csv(result)
+    if not any("\r" in i for i in ids):  # csv leaves a bare "\r" unquoted under a "\n" terminator
+        assert log.split("\n") == csv_writer_log(events).split("\n")  # lines: pytest diffs a long text slowly
+    rows = [[e.instance_id, e.kind.value, repr(e.time_s)] for e in events]
+    assert list(csv.reader(io.StringIO(log, newline=""))) == [["instance_id", "kind", "time_s"], *rows]
+
+
+def test_events_csv_quotes_a_carriage_return():
+    # RFC 4180 quotes a line break; left bare, csv.reader ends the row at it
+    log = events_csv(simulate(graph_of([inst('a\r"b', 1.0)]), UNLIMITED))
+    assert log == 'instance_id,kind,time_s\n' + "".join(
+        f'"a\r""b",{kind},{t}\n' for kind, t in (("Submit", "0.0"), ("Start", "0.0"), ("Finish", "1.0"))
+    )
+
+
+def test_negative_zero_duration_writes_no_negative_zero(bundled_model):
+    # -0.0 passes validation and equals 0.0 as a float key, but times are sums
+    # that start from +0.0, so the log never holds a -0.0
+    job = replace(bundled_model.jobs[0], wallclock_ctrl_s=-0.0, wallclock_pert_s=-0.0)
+    model = replace(bundled_model, jobs=(job, *bundled_model.jobs[1:]))
+    assert validate_suite(model).ok
+    result = simulate(expand_instances(model), model.cluster)
+    log = events_csv(result)
+    assert log.split("\n") == csv_writer_log(result.events).split("\n")
+    assert not any(line.endswith(",-0.0") for line in log.splitlines())
+    assert f"{job.name}:m000:i000,Finish,0.0\n" in log
