@@ -59,6 +59,16 @@ KJS_SCALED_PIN = "41b1226b5610be6dbc902bfd106e308b3925ccbacb7be8168edb0f5acf1c22
 KJS_WIDE_PIN = "697afd0ad9dd5a81a89b76cbf1d4f49a6d0a19eb3fe8852078d51b2987014481"
 KJP_PIN = "be20ee45720ddd2b4bdd884623a0407d2ae85e7bdfa98d9fee7038cd9f1d2d91"
 SCENARIO_PIN = "4ac5fcd330b818856e6549913f680575525391523523ed47ed7c1e54596c40d5"
+WHATIF_PINS = {  # `epsim whatif` arguments -> stdout
+    ("--zero-category", "LBCs"): "55f60e0ff817cd6dae92e0b2729377f3b7bf96b47beebb3069070fabb3b1ab32",
+    ("--zero-category", "DataAssimilation"): "c08dfb823791da065203b8e666efc556734d561b21aafb2e5e2462286559be93",
+    ("--zero-category", "Forecast"): "d4677d4b036d17c88b0fc0e9adc4036309ea7656269d6f416929c831343e34b8",
+    ("--zero-category", "PostProcessing"): "8c408114cf311d9b1a7e224309dbbdabb199c0a759cfc91e716e51f22f1584bd",
+    ("--zero-category", "Other"): "34d855b013f1af21c8b1f1057ad280f2a3ad109de7303abd8a5534c6f7af85bc",
+    ("--speedup", "Forecast=2", "--n-prime", "2", "--N-prime", "42"): (
+        "2b964d4c1bbf67d356d9ce97f495bc92fab1ea7a4b0077466b44bccf163da68e"
+    ),
+}
 
 
 def _sha256(text: str) -> str:
@@ -89,6 +99,12 @@ def test_simulation_outputs(key):
 def test_report_json(capsys):
     assert main(["report", "--format", "json"]) == 0
     assert _sha256(capsys.readouterr().out) == REPORT_JSON_PIN
+
+
+@pytest.mark.parametrize("args", list(WHATIF_PINS), ids=" ".join)
+def test_whatif(args, capsys):
+    assert main(["whatif", *args]) == 0
+    assert _sha256(capsys.readouterr().out) == WHATIF_PINS[args]
 
 
 def bundled_profiles():

@@ -181,6 +181,24 @@ def test_member_rescaling_keeps_affine_coefficients(model, n_prime, extra):
     assert affine_total(apply_scenario(model, scenario)) == affine_total(model)
 
 
+@settings(max_examples=60)
+@given(strategies.suite_models(), st.sampled_from(list(JobCategory)), st.sampled_from(list(MemberPath)))
+def test_max_speedup_matches_path_sums(model, category, path):
+    on_path = [j for j in model.jobs if j.runs_on(path)]
+    total = sum(j.wallclock_for(path) for j in on_path)
+    part = sum(j.wallclock_for(path) for j in on_path if j.category is category)
+    if total == 0:
+        with pytest.raises(DegeneratePath):
+            max_speedup(model, category, path)
+        return
+    expected = math.inf if part == total else total / (total - part)
+    got = max_speedup(model, category, path)
+    if math.isinf(expected) or math.isinf(got):
+        assert got == expected
+    else:
+        assert got == pytest.approx(expected, rel=1e-9)
+
+
 def test_speedup_monotone_in_category_share(bundled_model):
     # shrinking the forecast share of the path shrinks the attainable speedup
     base = max_speedup(bundled_model, JobCategory.FORECAST, MemberPath.CONTROL)
