@@ -79,6 +79,9 @@ class SimulationResult:
 def critical_path(graph: InstanceGraph) -> tuple[float, list[str]]:
     """Longest duration-weighted path; ties broken by lexicographic instance id."""
     preds, ranked = graph.pred_ranks, graph.ranked
+    for r, inst in enumerate(ranked):
+        if not 0.0 <= inst.duration_s < math.inf:  # NaN fails every comparison, and never leaves simulate's heap
+            raise InvalidDuration(graph.rank_ids[r], inst.duration_s)
     order = topological_order(preds, graph.succ_ranks, graph.rank_ids)  # raises CycleDetected
     dist = [0.0] * len(order)
     best_pred = [-1] * len(order)
@@ -177,11 +180,7 @@ def simulate(graph: InstanceGraph, cluster: ClusterSpec) -> SimulationResult:
             raise InfeasibleInstance(graph.rank_ids[next(r for r, h in enumerate(class_of) if h is heap)], need, have)
 
     duration = [inst.duration_s for inst in graph.ranked]
-    for r, d in enumerate(duration):
-        if not 0.0 <= d < math.inf:  # a NaN finish time would never leave the running heap
-            raise InvalidDuration(graph.rank_ids[r], d)
-
-    cp_len, cp_chain = critical_path(graph)  # raises CycleDetected
+    cp_len, cp_chain = critical_path(graph)  # raises InvalidDuration, then CycleDetected
 
     n = len(graph)
     succs = graph.succ_ranks

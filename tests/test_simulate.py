@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracle_data as oracle
 import strategies
 
-from epsim.errors import CycleDetected, InfeasibleInstance, InvalidCluster
+from epsim.errors import CycleDetected, InfeasibleInstance, InvalidCluster, InvalidDuration
 from epsim.model import (
     ClusterSpec,
     Instance,
@@ -161,6 +161,14 @@ class TestCriticalPath:
         assert length == pytest.approx(oracle.EXPECTED_CTRL_PATH_S)
         # the chain runs through a control member (deterministically member 0)
         assert all(graph.instances[i].member == 0 for i in chain)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_bad_duration_is_rejected(self, bad):
+        # with a NaN on A, the longest path once came back as (nan, ["A"]) instead of (5.0, ["B"])
+        g = graph_of([inst("A", bad), inst("B", 5.0), inst("C", 1.0)], {("A", "C")})
+        with pytest.raises(InvalidDuration) as exc:
+            critical_path(g)
+        assert exc.value.instance_id == "A"
 
     def test_cycle_detected(self):
         g = graph_of(
