@@ -14,7 +14,6 @@ from .model import (
     QueueSpec,
     RepetitionSpec,
     SuiteModel,
-    category_of,
     expand_instances,
     load_suite_model,
     save_suite_model,
@@ -42,7 +41,6 @@ from .executor import (
     ScheduleDocument,
     execute,
     generate_schedule,
-    scale_schedule,
     topo_order,
 )
 from .datafiles import load_bundled_model

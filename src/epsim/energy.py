@@ -178,7 +178,7 @@ def power_scatter(model: SuiteModel, cfg: EnsembleConfig | None = None) -> list[
     points: list[ScatterPoint] = []
     for job in model.jobs:
         rep = job.repetition
-        total_instances = cfg.multiplier(job.role) * rep.instances
+        total_instances = len(cfg.members_for(job.role)) * rep.instances
         for path in (MemberPath.CONTROL, MemberPath.PERTURBED):
             if not job.runs_on(path):
                 continue

@@ -11,12 +11,6 @@ class CycleDetected(SuiteError):
         super().__init__("dependency cycle: " + " -> ".join(map(str, self.cycle)))
 
 
-class UnknownJob(SuiteError):
-    def __init__(self, name):
-        self.name = name
-        super().__init__(f"unknown job: {name!r}")
-
-
 class DegenerateTotal(SuiteError):
     pass
 

@@ -163,22 +163,6 @@ def topo_order(doc: ScheduleDocument) -> list[int]:
     return topological_order(*_dependencies(doc))
 
 
-def scale_schedule(doc: ScheduleDocument, io_factor: float, compute_factor: float) -> ScheduleDocument:
-    """Multiply phase magnitudes; document scale metadata composes multiplicatively."""
-    if io_factor < 0 or compute_factor < 0:
-        raise InvalidScale(f"scale factors must be >= 0, got ({io_factor}, {compute_factor})")
-    jobs = tuple(
-        replace(j, phases=tuple(_scaled_phase(p, io_factor, compute_factor) for p in j.phases))
-        for j in doc.jobs
-    )
-    return replace(
-        doc,
-        jobs=jobs,
-        io_scale=doc.io_scale * io_factor,
-        compute_scale=doc.compute_scale * compute_factor,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Execution
 

@@ -34,7 +34,7 @@ from .codec import (
     string,
     tuple_of,
 )
-from .errors import CycleDetected, SchemaError, UnknownJob
+from .errors import CycleDetected, SchemaError
 
 class JobCategory(str, Enum):
     LBCS = "LBCs"
@@ -92,10 +92,6 @@ class RepetitionSpec:
     wave_widths: tuple[int, ...] = (1,)
 
     @staticmethod
-    def single() -> "RepetitionSpec":
-        return RepetitionSpec(1, 1, (1,))
-
-    @staticmethod
     def from_counts(instances: int, waves: int) -> "RepetitionSpec":
         """Reconstruct widths from counts alone.
 
@@ -125,7 +121,7 @@ class JobProfile:
     wallclock_ctrl_s: float
     wallclock_pert_s: float
     energy: EnergyTerm
-    repetition: RepetitionSpec = field(default_factory=RepetitionSpec.single)
+    repetition: RepetitionSpec = RepetitionSpec()
     contaminated: bool = False
     low_confidence: bool = False
 
@@ -156,9 +152,6 @@ class EnsembleConfig:
 
     def is_valid(self) -> bool:
         return 1 <= self.n_control <= self.n_total
-
-    def multiplier(self, role: MemberRole) -> int:
-        return len(self.members_for(role))
 
     def members_for(self, role: MemberRole) -> range:
         """Member indices a role expands to; 0..n_control-1 are control."""
@@ -192,22 +185,8 @@ class SuiteModel:
     jobs: tuple[JobProfile, ...]
     edges: tuple[DependencyEdge, ...] = ()
 
-    def job(self, name: str) -> JobProfile:
-        for j in self.jobs:
-            if j.name == name:
-                return j
-        raise UnknownJob(name)
-
-    def job_names(self) -> list[str]:
-        return [j.name for j in self.jobs]
-
     def with_ensemble(self, cfg: EnsembleConfig) -> "SuiteModel":
         return replace(self, ensemble=cfg)
-
-
-def category_of(job_name: str, model: SuiteModel) -> JobCategory:
-    """Category of a cataloged job; raises UnknownJob, never defaults."""
-    return model.job(job_name).category
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +357,7 @@ def validate_suite(model: SuiteModel) -> ValidationReport:
                     f"edge {e.from_job} -> {e.to_job} references unknown job {endpoint!r}",
                 )
 
-    cycle = find_job_cycle(model.job_names(), model.edges)
+    cycle = find_job_cycle([j.name for j in model.jobs], model.edges)
     if cycle:
         report.error("CycleDetected", "dependency cycle: " + " -> ".join(cycle))
     return report
@@ -400,7 +379,6 @@ class Instance(NamedTuple):
     category: JobCategory
     queue: str
     cores: int
-    is_control: bool
 
 
 class InstanceGraph:
@@ -487,7 +465,7 @@ def expand_instances(model: SuiteModel) -> InstanceGraph:
         members = cfg.members_for(job.role)
         block[name] = (len(instances) - members.start * len(wave_of), len(wave_of))
         instances += [
-            Instance(f"{name}:m{m:03d}:i{slot:03d}", name, m, wave, slot, ctrl_s if m < n else pert_s, *placed, m < n)
+            Instance(f"{name}:m{m:03d}:i{slot:03d}", name, m, wave, slot, ctrl_s if m < n else pert_s, *placed)
             for m in members
             for slot, wave in enumerate(wave_of)
         ]
@@ -568,7 +546,7 @@ def job_from_dict(raw, at="") -> JobProfile:
         wallclock_ctrl_s=opt(o, "wallclock_ctrl_s", at, number, 0.0),
         wallclock_pert_s=opt(o, "wallclock_pert_s", at, number, 0.0),
         energy=opt(o, "energy", at, _energy_from_dict, EnergyTerm()),
-        repetition=opt(o, "repetition", at, _repetition_from_dict, RepetitionSpec.single()),
+        repetition=opt(o, "repetition", at, _repetition_from_dict, RepetitionSpec()),
         contaminated=opt(o, "contaminated", at, boolean, False),
         low_confidence=opt(o, "low_confidence", at, boolean, False),
     )
@@ -589,10 +567,6 @@ suite_model_from_dict = record(
     jobs=tuple_of(job_from_dict),
     edges=tuple_of(edge_from_dict),
 )
-
-
-def suite_model_to_dict(model: SuiteModel) -> dict:
-    return asdict(model)
 
 
 def load_suite_model(path: str | Path) -> SuiteModel:

@@ -18,7 +18,6 @@ CSV ingested here uses the fixed column schema in MEASUREMENT_COLUMNS.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 from dataclasses import dataclass
@@ -399,37 +398,3 @@ def ingest_measurements(
         edges=(),
     )
 
-
-def measurements_csv(model: SuiteModel) -> str:
-    """Serialize the job catalog back to the measurement CSV schema."""
-
-    def num(x: float) -> str:
-        if x == int(x):
-            return str(int(x))
-        return repr(x)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MEASUREMENT_COLUMNS)
-    for j in model.jobs:
-        wc_ctrl = "" if j.role is MemberRole.PERTURBED_ONLY else num(j.wallclock_ctrl_s)
-        wc_pert = "" if j.role is MemberRole.CONTROL_ONLY else num(j.wallclock_pert_s)
-        writer.writerow(
-            [
-                j.name,
-                j.category.value,
-                j.queue,
-                j.cores_per_member,
-                wc_ctrl,
-                wc_pert,
-                num(j.energy.per_control_kj),
-                num(j.energy.per_perturbed_kj),
-                num(j.energy.per_any_kj),
-                num(j.energy.fixed_kj),
-                j.role.value,
-                j.repetition.instances,
-                j.repetition.waves,
-                str(j.contaminated).lower(),
-            ]
-        )
-    return buf.getvalue()

@@ -7,11 +7,11 @@ category energy terms; speedups and energy factors are independent knobs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .codec import dict_of, enum_of, integer, load_json, nullable, number, record
-from .energy import job_energy, suite_total
+from .energy import job_energy, suite_total, wallclock_breakdown
 from .errors import DegeneratePath, InvalidScenario
 from .model import EnsembleConfig, JobCategory, MemberPath, SuiteModel
 
@@ -74,15 +74,8 @@ def max_speedup(model: SuiteModel, category: JobCategory, path: MemberPath) -> f
     Returns 1.0 when the category is absent from the path and infinity when it
     is the whole path; raises DegeneratePath when the path itself is empty.
     """
-    total = 0.0
-    cat_part = 0.0
-    for job in model.jobs:
-        if not job.runs_on(path):
-            continue
-        w = job.wallclock_for(path)
-        total += w
-        if job.category is category:
-            cat_part += w
+    wc = wallclock_breakdown(model, path)
+    total, cat_part = wc.total_s, wc.per_category_s.get(category, 0.0)
     if total == 0:
         raise DegeneratePath(f"the {path.value} member path has zero wall-clock")
     if cat_part == total:
@@ -107,24 +100,6 @@ def energy_savings(
     return saved, (saved / total if total else 0.0)
 
 
-def compose(first: Scenario, second: Scenario) -> Scenario:
-    """Pointwise product; the ensemble target of the later scenario wins."""
-    speedup = dict(first.speedup)
-    for cat, s in second.speedup.items():
-        speedup[cat] = speedup.get(cat, 1.0) * s
-    factor = dict(first.energy_factor)
-    for cat, f in second.energy_factor.items():
-        factor[cat] = factor.get(cat, 1.0) * f
-    return Scenario(
-        n_prime=second.n_prime if second.n_prime is not None else first.n_prime,
-        N_prime=second.N_prime if second.N_prime is not None else first.N_prime,
-        speedup=speedup,
-        energy_factor=factor,
-        io_scale=first.io_scale * second.io_scale,
-        compute_scale=first.compute_scale * second.compute_scale,
-    )
-
-
 _factors = dict_of(enum_of(JobCategory), number)
 _scenario_from_dict = record(
     Scenario,
@@ -141,10 +116,6 @@ def scenario_from_dict(raw, at="") -> Scenario:
     scenario = _scenario_from_dict(raw, at)
     scenario.check()
     return scenario
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    return asdict(s)
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -116,7 +116,6 @@ def instance_graphs(draw, max_nodes=8, max_cores=4, max_preds=None):
                 category=JobCategory.OTHER,
                 queue=queue,
                 cores=cores,
-                is_control=True,
             )
         )
     edges = set()

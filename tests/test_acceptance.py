@@ -7,14 +7,15 @@ the frozen measurement rows by plain summation.
 
 import random
 import time
+from dataclasses import asdict
 
 import pytest
 
 import oracle_data as oracle
-from test_executor import FAST, check_log_invariants, doc_of, random_dag, sjob
+from test_executor import FAST, check_log_invariants, profile, random_dag
 from test_simulate import _demand_fits, oracle_makespan
 
-from epsim.datafiles import measurements_path, profiles_dir
+from epsim.datafiles import profiles_dir
 from epsim.energy import (
     affine_total,
     category_breakdown,
@@ -23,7 +24,7 @@ from epsim.energy import (
     suite_total,
     wallclock_breakdown,
 )
-from epsim.executor import execute, generate_schedule, scale_schedule, load_schedule, save_schedule
+from epsim.executor import execute, generate_schedule, load_schedule, save_schedule
 from epsim.model import (
     ClusterSpec,
     DependencyEdge,
@@ -35,12 +36,9 @@ from epsim.model import (
     load_suite_model,
     save_suite_model,
     suite_model_from_dict,
-    suite_model_to_dict,
 )
 from epsim.profiles import (
     IoMode,
-    ingest_measurements,
-    measurements_csv,
     merge_profiles,
     parse_io_profile,
     parse_mpi_profile,
@@ -189,12 +187,14 @@ def test_property_suite(bundled_model, tmp_path):
         replayed += 1
     assert replayed >= 200
 
-    # io scaling linearity, exact in bytes
-    base = doc_of([sjob(0, write=7777), sjob(1, [0], write=1234)])
+    # io scaling linearity, exact in bytes, on the path of `epsim schedule
+    # --io-scale` followed by `epsim execute`
+    profiles = [profile("A", write=7777), profile("B", write=1234)]
     byte_totals = {}
     for factor in (1, 3):
-        scaled = scale_schedule(base, float(factor), 1.0)
-        log = execute(scaled, backend=FAST, workdir=tmp_path / f"io{factor}")
+        scenario = Scenario(io_scale=float(factor))
+        doc = generate_schedule(profiles, [DependencyEdge("A", "B")], EnsembleConfig(1, 1), scenario)
+        log = execute(doc, backend=FAST, workdir=tmp_path / f"io{factor}")
         byte_totals[factor] = sum(e.bytes_written for e in log.entries)
     assert byte_totals[3] == 3 * byte_totals[1]
 
@@ -222,7 +222,6 @@ def _random_graph(rng, cluster):
                 category=JobCategory.OTHER,
                 queue=queue,
                 cores=rng.randint(1, cap),
-                is_control=True,
             )
         )
     edges = {
@@ -246,17 +245,8 @@ def _random_cluster(rng):
 
 
 def test_round_trips(bundled_model, tmp_path):
-    # measurement CSV
-    model = ingest_measurements(measurements_path())
-    text = measurements_csv(model)
-    path = tmp_path / "table.csv"
-    path.write_text(text, encoding="utf-8")
-    again = ingest_measurements(path)
-    assert again == model
-    assert measurements_csv(again) == text
-
     # suite model JSON
-    assert suite_model_from_dict(suite_model_to_dict(bundled_model)) == bundled_model
+    assert suite_model_from_dict(asdict(bundled_model)) == bundled_model
     mpath = tmp_path / "model.json"
     save_suite_model(bundled_model, mpath)
     assert load_suite_model(mpath) == bundled_model

@@ -3,6 +3,7 @@
 import copy
 import json
 import sys
+from dataclasses import asdict
 from enum import IntEnum
 
 import pytest
@@ -15,7 +16,7 @@ from epsim.errors import SchemaError, SuiteError
 from epsim.executor import ScheduleDocument, ScheduledJob, generate_schedule, load_schedule, schedule_to_dict
 from epsim.model import EnsembleConfig, JobCategory, QueueSpec, load_edges, load_suite_model
 from epsim.profiles import load_profile, phase_from_dict, profile_to_dict
-from epsim.whatif import Scenario, load_scenario, scenario_to_dict
+from epsim.whatif import Scenario, load_scenario
 from test_pins import bundled_profiles
 
 
@@ -117,7 +118,7 @@ def _documents():
     as_json = lambda doc: json.loads(json.dumps(doc))  # noqa: E731 - plain JSON values only
     return {
         "model": (json.loads(suite_model_path().read_text()), load_suite_model),
-        "scenario": (as_json(scenario_to_dict(scenario)), load_scenario),
+        "scenario": (as_json(asdict(scenario)), load_scenario),
         "kjp": (as_json(profile_to_dict(profiles[0])), load_profile),
         "kjs": (as_json(schedule_to_dict(schedule)), load_schedule),
     }

@@ -15,7 +15,7 @@ import pytest
 from epsim import stub
 
 from epsim.datafiles import edges_path, load_bundled_model
-from epsim.errors import CycleDetected, InvalidScale, MissingProfile, SchemaError, SuiteError
+from epsim.errors import CycleDetected, InvalidScenario, MissingProfile, SchemaError, SuiteError
 from epsim.executor import (
     InlineBackend,
     LocalProcessBackend,
@@ -27,7 +27,6 @@ from epsim.executor import (
     save_schedule,
     schedule_from_dict,
     schedule_to_dict,
-    scale_schedule,
     stub_spec,
     topo_order,
 )
@@ -175,26 +174,21 @@ class TestTopoOrder:
 
 
 class TestScaleSchedule:
-    def test_identity(self):
-        doc = doc_of([sjob(0, write=100, compute=1.0)])
-        assert scale_schedule(doc, 1.0, 1.0) == doc
+    # what `epsim schedule --io-scale/--compute-scale` does to a schedule
 
-    def test_composition(self):
-        doc = doc_of([sjob(0, write=100)])
-        twice = scale_schedule(scale_schedule(doc, 2.0, 1.0), 2.0, 1.0)
-        write = next(p for p in twice.jobs[0].phases if p.kind is PhaseKind.IO_WRITE)
-        assert write.bytes == 400
-        assert twice.io_scale == 4.0
+    def test_identity(self):
+        profiles = [profile("A", compute=1.0, write=100)]
+        unscaled = generate_schedule(profiles, [], EnsembleConfig(1, 1))
+        assert generate_schedule(profiles, [], EnsembleConfig(1, 1), Scenario(io_scale=1.0, compute_scale=1.0)) == unscaled
 
     def test_zero_io_keeps_phases(self):
-        doc = doc_of([sjob(0, write=100)])
-        zeroed = scale_schedule(doc, 0.0, 1.0)
-        write = next(p for p in zeroed.jobs[0].phases if p.kind is PhaseKind.IO_WRITE)
+        doc = generate_schedule([profile("A", write=100)], [], EnsembleConfig(1, 1), Scenario(io_scale=0.0))
+        write = next(p for p in doc.jobs[0].phases if p.kind is PhaseKind.IO_WRITE)
         assert write.bytes == 0
 
     def test_negative_rejected(self):
-        with pytest.raises(InvalidScale):
-            scale_schedule(doc_of([sjob(0)]), -1.0, 1.0)
+        with pytest.raises(InvalidScenario):
+            generate_schedule([profile("A")], [], EnsembleConfig(1, 1), Scenario(io_scale=-1.0))
 
 
 class TestExecute:
@@ -549,11 +543,13 @@ def test_random_dags_dependency_safety_and_concurrency_bound(tmp_path):
 
 
 def test_io_scale_linearity_in_run_bytes(tmp_path):
-    base = doc_of([sjob(0, write=12345), sjob(1, [0], write=55555)])
+    # the path of `epsim schedule --io-scale` followed by `epsim execute`
+    profiles = [profile("A", write=12345), profile("B", write=55555)]
     totals = {}
     for factor in (1, 2, 3):
-        scaled = scale_schedule(base, float(factor), 1.0)
-        log = execute(scaled, backend=FAST, workdir=tmp_path / str(factor))
+        scenario = Scenario(io_scale=float(factor))
+        doc = generate_schedule(profiles, [DependencyEdge("A", "B")], EnsembleConfig(1, 1), scenario)
+        log = execute(doc, backend=FAST, workdir=tmp_path / str(factor))
         totals[factor] = sum(e.bytes_written for e in log.entries)
     assert totals[2] == 2 * totals[1]
     assert totals[3] == 3 * totals[1]

@@ -1,10 +1,12 @@
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
 
-from epsim.errors import CycleDetected, SchemaError, UnknownJob
+from epsim.errors import CycleDetected, SchemaError
 from epsim.model import (
     ClusterSpec,
     DependencyEdge,
@@ -18,12 +20,10 @@ from epsim.model import (
     QueueSpec,
     RepetitionSpec,
     SuiteModel,
-    category_of,
     expand_instances,
     find_cycle,
     load_suite_model,
     suite_model_from_dict,
-    suite_model_to_dict,
     topological_order,
     validate_suite,
 )
@@ -46,7 +46,7 @@ def make_job(name, role=MemberRole.ALL, category=JobCategory.OTHER, wc_ctrl=10.0
         wallclock_ctrl_s=wc_ctrl,
         wallclock_pert_s=wc_pert,
         energy=EnergyTerm(**energy),
-        repetition=repetition or RepetitionSpec.single(),
+        repetition=repetition or RepetitionSpec(),
     )
 
 
@@ -65,7 +65,7 @@ class TestRepetitionSpec:
         assert RepetitionSpec.from_counts(8, 3).wave_widths == (3, 3, 2)
 
     def test_default_is_single(self):
-        assert RepetitionSpec.single() == RepetitionSpec(1, 1, (1,))
+        assert RepetitionSpec() == RepetitionSpec(1, 1, (1,))
 
 
 class TestValidation:
@@ -152,18 +152,6 @@ class TestValidation:
     def test_invalid_ensemble_rejected(self):
         report = validate_suite(make_model([], n=3, N=2))
         assert any(i.code == "InvalidEnsemble" for i in report.errors)
-
-
-class TestCategoryOf:
-    def test_forecast(self, bundled_model):
-        assert category_of("Forecast", bundled_model) is JobCategory.FORECAST
-
-    def test_pertana_is_other(self, bundled_model):
-        assert category_of("PertAna", bundled_model) is JobCategory.OTHER
-
-    def test_unknown_job_raises(self, bundled_model):
-        with pytest.raises(UnknownJob):
-            category_of("NoSuchJob", bundled_model)
 
 
 class TestInstanceGraph:
@@ -330,7 +318,7 @@ def test_instance_counts_follow_role_multiplier(model):
     n, N = model.ensemble.n_control, model.ensemble.n_total
     members = {MemberRole.ALL: N, MemberRole.CONTROL_ONLY: n, MemberRole.PERTURBED_ONLY: N - n}
     for job in model.jobs:
-        assert model.ensemble.multiplier(job.role) == members[job.role]
+        assert len(model.ensemble.members_for(job.role)) == members[job.role]
         expected = members[job.role] * job.repetition.instances
         assert counts.get(job.name, 0) == expected
 
@@ -406,7 +394,7 @@ def test_per_member_wave_chain_length(model):
 
 class TestRoundTrip:
     def test_bundled_model_round_trip(self, bundled_model):
-        raw = suite_model_to_dict(bundled_model)
+        raw = asdict(bundled_model)
         again = suite_model_from_dict(raw)
         assert again == bundled_model
 
@@ -420,4 +408,4 @@ class TestRoundTrip:
     @settings(max_examples=40)
     @given(strategies.suite_models())
     def test_random_models_round_trip(self, model):
-        assert suite_model_from_dict(suite_model_to_dict(model)) == model
+        assert suite_model_from_dict(asdict(model)) == model

@@ -5,7 +5,7 @@ change only together with a CHANGES.md entry that says why the output moved.
 """
 
 import hashlib
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +17,7 @@ from epsim.executor import generate_schedule, save_schedule
 from epsim.model import EnsembleConfig, JobCategory, expand_instances, load_edges
 from epsim.profiles import IoMode, merge_profiles, parse_io_profile, parse_mpi_profile, save_profile
 from epsim.simulate import events_csv, simulate, summary_json
-from epsim.whatif import Scenario, scenario_to_dict
+from epsim.whatif import Scenario
 
 SIM_PINS = {  # (n_total, node_count, max_concurrent_jobs of both queues) -> (events_csv, summary_json)
     (22, None, None): (
@@ -147,7 +147,7 @@ def test_scenario_document():
         energy_factor={JobCategory.FORECAST: 0.5},
         io_scale=0.25,
     )
-    assert _sha256(dump_json(scenario_to_dict(scenario))) == SCENARIO_PIN
+    assert _sha256(dump_json(asdict(scenario))) == SCENARIO_PIN
 
 
 def test_bundled_schedule(tmp_path):

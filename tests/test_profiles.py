@@ -23,7 +23,6 @@ from epsim.profiles import (
     UnifiedJobProfile,
     ingest_measurements,
     load_profile,
-    measurements_csv,
     merge_profiles,
     parse_io_profile,
     parse_mpi_profile,
@@ -174,19 +173,19 @@ class TestIngestMeasurements:
     def test_bundled_table(self):
         model = ingest_measurements(measurements_path())
         assert len(model.jobs) == oracle.JOB_COUNT
-        forecast = model.job("Forecast")
+        forecast = {j.name: j for j in model.jobs}["Forecast"]
         assert forecast.cores_per_member == 612
         assert forecast.wallclock_ctrl_s == 1290.0
 
     def test_first_guess_low_confidence(self):
         model = ingest_measurements(measurements_path())
-        assert model.job("FirstGuess").low_confidence
+        assert {j.name: j for j in model.jobs}["FirstGuess"].low_confidence
         flagged = [j.name for j in model.jobs if j.low_confidence]
         assert flagged == ["FirstGuess"]
 
     def test_threshold_configurable(self):
         model = ingest_measurements(measurements_path(), low_confidence_threshold_s=3.0)
-        assert model.job("ExtractBD").low_confidence
+        assert {j.name: j for j in model.jobs}["ExtractBD"].low_confidence
 
     def test_contaminated_follows_csv_flag(self):
         model = ingest_measurements(measurements_path())
@@ -222,16 +221,8 @@ class TestIngestMeasurements:
 
     def test_gl_bd_repetition_reconstructed(self):
         model = ingest_measurements(measurements_path())
-        rep = model.job("gl_bd").repetition
+        rep = {j.name: j for j in model.jobs}["gl_bd"].repetition
         assert (rep.instances, rep.waves, rep.wave_widths) == (13, 4, (1, 4, 4, 4))
-
-    def test_csv_round_trip_is_fixpoint(self, tmp_path):
-        model = ingest_measurements(measurements_path())
-        text = measurements_csv(model)
-        again = ingest_measurements(write(tmp_path, "again.csv", text))
-        assert again == model
-        assert measurements_csv(again) == text
-
 
 class TestKjpRoundTrip:
     def test_dict_round_trip(self):

@@ -39,7 +39,7 @@ UNLIMITED = ClusterSpec(node_count=None, cores_per_node=1, queues=NP_NS)
 def inst(iid, duration, queue="np", cores=1):
     return Instance(
         id=iid, job=iid, member=0, wave=0, slot=0, duration_s=duration,
-        category=JobCategory.OTHER, queue=queue, cores=cores, is_control=True,
+        category=JobCategory.OTHER, queue=queue, cores=cores,
     )
 
 
@@ -413,7 +413,7 @@ def test_bad_duration_is_rejected_before_any_event():
 
         for text in {BAD_DURATIONS!r}:
             graph = InstanceGraph(
-                [Instance(i, i, 0, 0, 0, d, JobCategory.OTHER, "np", 1, True) for i, d in (("A", 1.0), ("B", float(text)))],
+                [Instance(i, i, 0, 0, 0, d, JobCategory.OTHER, "np", 1) for i, d in (("A", 1.0), ("B", float(text)))],
                 [("A", "B")],
             )
             for nodes in (None, 1):

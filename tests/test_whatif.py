@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,10 @@ from epsim.simulate import simulate
 from epsim.whatif import (
     Scenario,
     apply_scenario,
-    compose,
     energy_savings,
     load_scenario,
     max_speedup,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from test_model import make_job, make_model
 
@@ -39,16 +38,17 @@ class TestApplyScenario:
 
     def test_forecast_speedup_halves_wallclock_only(self, bundled_model):
         scenario = Scenario(speedup={JobCategory.FORECAST: 2.0})
-        scaled = apply_scenario(bundled_model, scenario)
-        assert scaled.job("Forecast").wallclock_ctrl_s == pytest.approx(645.0)
-        assert scaled.job("Forecast").energy == bundled_model.job("Forecast").energy
-        assert scaled.job("Bator").wallclock_ctrl_s == bundled_model.job("Bator").wallclock_ctrl_s
+        scaled = {j.name: j for j in apply_scenario(bundled_model, scenario).jobs}
+        base = {j.name: j for j in bundled_model.jobs}
+        assert scaled["Forecast"].wallclock_ctrl_s == pytest.approx(645.0)
+        assert scaled["Forecast"].energy == base["Forecast"].energy
+        assert scaled["Bator"].wallclock_ctrl_s == base["Bator"].wallclock_ctrl_s
 
     def test_energy_factor_leaves_wallclock(self, bundled_model):
         scenario = Scenario(energy_factor={JobCategory.FORECAST: 0.5})
-        scaled = apply_scenario(bundled_model, scenario)
-        assert scaled.job("Forecast").wallclock_ctrl_s == 1290.0
-        assert scaled.job("Forecast").energy.per_any_kj == pytest.approx(6469.8 / 2)
+        forecast = {j.name: j for j in apply_scenario(bundled_model, scenario).jobs}["Forecast"]
+        assert forecast.wallclock_ctrl_s == 1290.0
+        assert forecast.energy.per_any_kj == pytest.approx(6469.8 / 2)
 
     def test_original_model_unchanged(self, bundled_model):
         before = suite_total(bundled_model)
@@ -140,7 +140,7 @@ class TestScenarioFiles:
         path = tmp_path / "s.json"
         import json
 
-        path.write_text(json.dumps(scenario_to_dict(scenario)))
+        path.write_text(json.dumps(asdict(scenario)))
         assert load_scenario(path) == scenario
 
     def test_unknown_category_rejected(self):
@@ -160,13 +160,21 @@ scenario_pairs = st.tuples(
 )
 
 
+def _product(first, second):
+    return {c: first.get(c, 1.0) * second.get(c, 1.0) for c in {**first, **second}}
+
+
 @settings(max_examples=50)
 @given(strategies.suite_models(), scenario_pairs, scenario_pairs)
 def test_apply_scenario_composes(model, first_maps, second_maps):
+    # two scenarios in turn act as one whose divisors and factors are the products
     s1 = Scenario(speedup=first_maps[0], energy_factor=first_maps[1])
     s2 = Scenario(speedup=second_maps[0], energy_factor=second_maps[1])
     stepwise = apply_scenario(apply_scenario(model, s1), s2)
-    combined = apply_scenario(model, compose(s1, s2))
+    combined = apply_scenario(
+        model,
+        Scenario(speedup=_product(s1.speedup, s2.speedup), energy_factor=_product(s1.energy_factor, s2.energy_factor)),
+    )
     for a, b in zip(stepwise.jobs, combined.jobs):
         assert a.wallclock_ctrl_s == pytest.approx(b.wallclock_ctrl_s, rel=1e-12, abs=1e-12)
         assert a.wallclock_pert_s == pytest.approx(b.wallclock_pert_s, rel=1e-12, abs=1e-12)
