@@ -397,4 +397,3 @@ def ingest_measurements(
         jobs=tuple(jobs),
         edges=(),
     )
-

@@ -80,7 +80,7 @@ def critical_path(graph: InstanceGraph) -> tuple[float, list[str]]:
     """Longest duration-weighted path; ties broken by lexicographic instance id."""
     preds, ranked = graph.pred_ranks, graph.ranked
     for r, inst in enumerate(ranked):
-        if not 0.0 <= inst.duration_s < math.inf:  # NaN fails every comparison, and never leaves simulate's heap
+        if not 0.0 <= inst.duration_s < math.inf:  # NaN fails every comparison
             raise InvalidDuration(graph.rank_ids[r], inst.duration_s)
     order = topological_order(preds, graph.succ_ranks, graph.rank_ids)  # raises CycleDetected
     dist = [0.0] * len(order)
